@@ -189,9 +189,10 @@ def run_bench(sf_dir: str, num_cpus: int, n_docs: int, replicas: int) -> dict:
     #   and goes in minutes-long windows, swinging wall time up to 2×;
     # - a single-core calibration burn brackets the run so a slow-host
     #   window is visible in the recorded JSON;
-    # - extract_to_dir writes the dedup winners as a side file instead of
-    #   a Dataset.union: the UnionOperator un-fused map→write and cost
-    #   ~25% idle (measured; see extract_to_dir docstring).
+    # - the stage times run_partitioned, the function the job CLI
+    #   (pdfz_ray.job) calls, as one partition over the whole corpus; it
+    #   writes the dedup winners as a side file instead of a Dataset.union
+    #   (a UnionOperator un-fused map→write and cost ~25% idle, measured).
     def _burn() -> float:
         t0 = time.perf_counter()
         x = 0
@@ -199,7 +200,11 @@ def run_bench(sf_dir: str, num_cpus: int, n_docs: int, replicas: int) -> dict:
             x += i * i
         return round(time.perf_counter() - t0, 3)
 
-    from pdfz_ray.pipelines.extract_pipeline import extract_to_dir
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+
+    def flagship_extract(files: list[str], out: str) -> None:
+        run_partitioned(files, out, partition_size=len(files), resume=False,
+                        ocr=True, batch_size=2048)
 
     out_dir = os.path.join(SHM_ROOT, f"out-{num_cpus}")
     import shutil
@@ -221,7 +226,7 @@ def run_bench(sf_dir: str, num_cpus: int, n_docs: int, replicas: int) -> dict:
     # plasma allocates object-store pages lazily, so the first trial
     # otherwise pays the zero-fill for ~6 GB of fresh store memory.
     warm_dir = os.path.join(SHM_ROOT, f"warm-{num_cpus}")
-    extract_to_dir(corpus[:1], warm_dir, ocr=True, batch_size=2048)
+    flagship_extract(corpus[:1], warm_dir)
     shutil.rmtree(warm_dir, ignore_errors=True)
     rd.read_parquet(corpus).map_batches(
         lambda t: t.slice(0, 1), batch_format="pyarrow"
@@ -234,13 +239,13 @@ def run_bench(sf_dir: str, num_cpus: int, n_docs: int, replicas: int) -> dict:
     # healthy burns on every trial, so it is cold state, not host steal).
     # The warmup's wall time is recorded in the JSON, never hidden.
     t0 = time.perf_counter()
-    extract_to_dir(corpus, out_dir, ocr=True, batch_size=2048)
+    flagship_extract(corpus, out_dir)
     warmup_extract_sec = round(time.perf_counter() - t0, 3)
     # OCR runs in task mode (per-worker engine cache): an actor pool
     # would fuse the whole read→extract chain onto its reserved CPUs
     # and cap parallelism at the pool size (measured 3× slower here).
     trials = gated_extract_trials(
-        lambda: extract_to_dir(corpus, out_dir, ocr=True, batch_size=2048),
+        lambda: flagship_extract(corpus, out_dir),
         out_dir,
         n_trials=n_trials,
         burn_gate=burn_gate,

@@ -129,7 +129,7 @@ def chunk_documents_batch(
     taken = flat.take(pa.array(tok_idx))
     offs = np.zeros(total + 1, np.int64)
     np.cumsum(sizes, out=offs[1:])
-    lists = pa.ListArray.from_arrays(pa.array(offs, pa.int32()), taken)
+    lists = pa.LargeListArray.from_arrays(pa.array(offs), taken)
     chunk_text = pc.binary_join(lists, " ")
     return pa.Table.from_arrays(
         [

@@ -6,21 +6,38 @@ the streaming executor's backpressured block scheduling; Redis
 status/progress becomes lineage columns + the per-partition manifest; the
 per-doc JSON files become one partitioned Parquet dataset.
 
+One extract chain (``_extract_chain``: extract → OCR, optional skew
+routing, per-batch progress) serves two entry points:
+
+- ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
+  once per run: one dup scan assigns each duplicated doc_id an owner
+  partition and one ``ray.put`` broadcasts the jobs lookup. Its partition
+  writer then runs, per pending partition, one fused
+  read → drop-dups → extract → OCR → write chain into the partition's temp
+  dir; the partition's owned dedup winners are extracted on the driver and
+  written beside that output as ``winners.parquet``, so they share the
+  partition's atomic commit and never pass through a ``Dataset.union``;
+- ``build_extract_pipeline`` returns a lazy Dataset, so it unions the
+  winner rows into the stream.
+
 Scale notes (the 100 TB design points):
 - exact dedup never shuffles payloads: a column-pruned id scan finds the
-  (rare) duplicated ids, which are broadcast as a set; only those rows take
-  the groupby path, everything else streams through untouched;
-- the jobs table is broadcast once via ``ray.put`` and read per actor/task,
+  (rare) duplicated ids, which are broadcast as a set and dropped from the
+  stream by one ``is_in`` filter; their winner rows come from a targeted
+  pushdown read;
+- the jobs table is broadcast once via ``ray.put`` and read per task,
   never re-shipped per batch;
-- the OCR stage is an actor pool sized independently of the parse stage so
-  a slow model can't idle the cheap extract tasks (the reference's shared
-  single Ollama is exactly this bottleneck, docker-compose.yml:86-98);
+- the OCR stage can run as an actor pool sized independently of the parse
+  stage so a slow model can't idle the cheap extract tasks (the
+  reference's shared single Ollama is exactly this bottleneck,
+  docker-compose.yml:86-98);
 - output is committed per input partition (atomic rename + manifest line),
   so a resumed run skips finished partitions exactly.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -32,7 +49,7 @@ import ray.data
 
 from ..jobs import jobs_table_to_lookup
 from ..oracle import Job
-from ..stages.engines import OcrStage
+from ..stages.engines import OcrStage, ocr_task
 from ..stages.extract import extract_batch, flatten_output
 from ..state.manifest import Manifest
 
@@ -154,35 +171,17 @@ def _winner_rows(
     return dedup_within_batch(tbl)
 
 
-def exact_dedup(
-    ds: "ray.data.Dataset",
-    dup_ids: set | None = None,
-    input_files: list[str] | None = None,
-) -> "ray.data.Dataset":
-    """Exact doc_id dedup (J1 semantics) in ONE pass over the payloads.
+def _drop_ids(ds: "ray.data.Dataset", ids: set) -> "ray.data.Dataset":
+    """``ds`` without the rows whose doc_id is in ``ids``: one broadcast
+    set and one ``is_in`` filter, fused into the downstream map chain."""
+    ids_ref = ray.put(pa.array(sorted(ids), pa.string()))
 
-    Shape: a column-pruned id scan finds duplicated ids (rare); their
-    winner rows are fetched by a targeted pushdown read and re-injected as
-    a tiny side dataset, while the main pass simply drops all dup-id rows.
-    No payload shuffle, no branch re-execution of the main input. A
-    dup-heavy corpus would use a hash-partitioned groupby instead.
-    """
-    if dup_ids is None:
-        dup_ids = find_duplicate_ids(ds.select_columns(["doc_id"]))
-    if not dup_ids:
-        return ds
-    winners = _winner_rows(input_files, ds, dup_ids)
-    dup_ref = ray.put(pa.array(sorted(dup_ids), pa.string()))
-
-    def drop_dups(batch: pa.Table) -> pa.Table:
-        mask = pc.invert(
-            pc.is_in(batch.column("doc_id"), value_set=ray.get(dup_ref))
+    def drop(batch: pa.Table) -> pa.Table:
+        return batch.filter(
+            pc.invert(pc.is_in(batch.column("doc_id"), value_set=ray.get(ids_ref)))
         )
-        return batch.filter(mask)
 
-    main = ds.map_batches(drop_dups, batch_format="pyarrow")
-    side = ray.data.from_arrow(winners)
-    return main.union(side)
+    return ds.map_batches(drop, batch_format="pyarrow")
 
 
 def estimate_span_threshold(
@@ -211,14 +210,25 @@ def estimate_span_threshold(
     return int(np.quantile(ns, quantile, method="lower"))
 
 
-def build_extract_pipeline(
+def _report_metrics(out: pa.Table, metrics: str | None) -> None:
+    # one fire-and-forget flush per BATCH (pre-aggregated), never per
+    # row/page — SURVEY §4 progress row
+    if metrics is not None and out.num_rows:
+        from ..state.metrics import metrics_handle
+
+        metrics_handle(metrics).report.remote(
+            docs=out.num_rows,
+            pages=int(pc.sum(out.column("pages")).as_py() or 0),
+            decode_failures=int(pc.sum(out.column("decode_failures")).as_py() or 0),
+        )
+
+
+def _extract_chain(
     ds: "ray.data.Dataset",
-    jobs: pa.Table | dict[str, Job] | None = None,
+    winners: pa.Table | None,
+    lookup: dict[str, Job],
+    jobs_ref: "ray.ObjectRef | None",
     *,
-    dedup: bool = True,
-    dup_ids: set | None = None,
-    exclude_ids: set | None = None,
-    input_files: list[str] | None = None,
     ocr: bool = True,
     ocr_engine: str = "tesseract",
     ocr_model: str | None = None,
@@ -228,16 +238,17 @@ def build_extract_pipeline(
     monster_batch_size: int = 16,
     big_blocks: int = 32,
     metrics: str | None = None,
-) -> "ray.data.Dataset":
-    """documents Dataset → extraction output Dataset (lazy, streaming).
+) -> tuple["ray.data.Dataset", pa.Table | None]:
+    """(streamed extract(→OCR) of ``ds``, the same done to ``winners`` on
+    the driver — None without winners).
+
+    ``jobs_ref`` is ``ray.put(lookup)`` (None for an empty lookup), made
+    once by the caller and read per task.
 
     ``metrics``: name of a live MetricsActor (state/metrics.py) — the
     extract stage then flushes ONE fire-and-forget counter call per batch
     (docs/pages/failures), pollable mid-run via ``live_progress``. The
     reference polled per-page Redis writes for the same surface (G2).
-
-    ``exclude_ids``: doc_ids owned by another partition (cross-partition
-    dedup, see ``run_partitioned``) — dropped before any work.
 
     ``ocr_concurrency``: None (default) runs the engine as *stateless
     tasks* with a per-worker engine cache — right when the engine is cheap
@@ -246,75 +257,17 @@ def build_extract_pipeline(
     An int/tuple creates a dedicated actor pool — right for heavy models
     that need exclusive resources (GPUs, big weights); size it knowing the
     upstream map fuses in.
+
+    ``skew_threshold``: docs with more spans than this take a separate
+    branch of ``monster_batch_size`` batches over ``big_blocks`` blocks
+    (see ``estimate_span_threshold``).
     """
-    if exclude_ids:
-        excl_ref = ray.put(pa.array(sorted(exclude_ids), pa.string()))
-
-        def _drop_excluded(batch: pa.Table) -> pa.Table:
-            mask = pc.invert(
-                pc.is_in(batch.column("doc_id"), value_set=ray.get(excl_ref))
-            )
-            return batch.filter(mask)
-
-        ds = ds.map_batches(_drop_excluded, batch_format="pyarrow")
-    winners: pa.Table | None = None
-    if dedup:
-        dup_files = None
-        if dup_ids is None and input_files is not None:
-            # distributed narrow id-hash scan straight off the files
-            dup_ids, file_dups = scan_duplicates(input_files)
-            # preserve the caller's input_files order (not lexicographic) so
-            # the deterministic winner is the true first occurrence in file
-            # order even for unsorted input lists
-            dup_files = [f for f in input_files if f in file_dups]
-        elif dup_ids is None:
-            # no file handle (in-memory dataset): column-pruned Dataset scan
-            dup_ids = find_duplicate_ids(ds.select_columns(["doc_id"]))
-        if dup_ids and exclude_ids:
-            # excluded ids are owned elsewhere — never re-inject their winners
-            dup_ids = set(dup_ids) - set(exclude_ids)
-        if dup_ids:
-            winners = _winner_rows(
-                dup_files if dup_files is not None else input_files, ds, dup_ids
-            )
-            dup_ref = ray.put(pa.array(sorted(dup_ids), pa.string()))
-
-            def drop_dups(batch: pa.Table) -> pa.Table:
-                mask = pc.invert(
-                    pc.is_in(batch.column("doc_id"), value_set=ray.get(dup_ref))
-                )
-                return batch.filter(mask)
-
-            # dup rows are dropped in the fused main chain; the (tiny)
-            # winner set is extracted driver-side and unioned AFTER the
-            # extract stage, so the main read→extract→write chain stays one
-            # fused operator (a pre-extract union costs an extra trip of
-            # the whole corpus through the object store — measured)
-            ds = ds.map_batches(drop_dups, batch_format="pyarrow")
-    lookup = jobs if isinstance(jobs, dict) else jobs_table_to_lookup(jobs)
-    jobs_ref = ray.put(lookup) if lookup else None
-
-    def _report_metrics(out: pa.Table) -> None:
-        # one fire-and-forget flush per BATCH (pre-aggregated), never per
-        # row/page — SURVEY §4 progress row
-        if metrics is not None and out.num_rows:
-            from ..state.metrics import metrics_handle
-
-            metrics_handle(metrics).report.remote(
-                docs=out.num_rows,
-                pages=int(pc.sum(out.column("pages")).as_py() or 0),
-                decode_failures=int(
-                    pc.sum(out.column("decode_failures")).as_py() or 0
-                ),
-            )
 
     def _extract(batch: pa.Table) -> pa.Table:
         j = ray.get(jobs_ref) if jobs_ref is not None else {}
         out = extract_batch(batch, j, emit_payloads=ocr)
-        _report_metrics(out)
+        _report_metrics(out, metrics)
         return out
-
-    from ..stages.engines import ocr_task
 
     def _chain(src: "ray.data.Dataset", bsize: int) -> "ray.data.Dataset":
         out = src.map_batches(_extract, batch_format="pyarrow", batch_size=bsize)
@@ -365,82 +318,79 @@ def build_extract_pipeline(
             big_blocks
         )
         out = _chain(small, batch_size).union(_chain(big, monster_batch_size))
+    side = None
     if winners is not None:
         side = extract_batch(winners, lookup, emit_payloads=ocr)
         if ocr:
             side = ocr_task(side, engine=ocr_engine, model=ocr_model)
-        _report_metrics(side)  # winner rows bypass the streamed stage
-        out = out.union(ray.data.from_arrow(side))
-    return out
+        _report_metrics(side, metrics)  # winner rows bypass the streamed stage
+    return out, side
 
 
-def extract_to_dir(
-    input_files: list[str],
-    out_dir: str,
+def build_extract_pipeline(
+    ds: "ray.data.Dataset",
     jobs: pa.Table | dict[str, Job] | None = None,
     *,
-    ocr: bool = True,
-    ocr_engine: str = "tesseract",
-    ocr_model: str | None = None,
-    batch_size: int = 2048,
-    compression: str = "zstd",
-) -> None:
-    """One-shot extract run: input parquet files → one output directory,
-    with the dedup winners written as a separate small side file.
+    dedup: bool = True,
+    input_files: list[str] | None = None,
+    **chain_kw,
+) -> "ray.data.Dataset":
+    """documents Dataset → extraction output Dataset (lazy, streaming).
 
-    This is the at-scale write topology: `Dataset.union` of the (tiny)
-    winner set with the streamed output inserts a UnionOperator between the
-    map chain and the Write operator, which un-fuses map→write and sends
-    every output block through an extra object-store hop (measured ~25%
-    idle time at 32 CPUs). Writing the winner rows as one extra parquet
-    file in the same directory keeps the main read→dedup→extract→OCR→write
-    chain a single fused task pipeline; the output *table* (dir contents)
-    is row-identical to ``build_extract_pipeline(...).write_parquet(...)``.
+    With ``dedup``, duplicated doc_ids are found by ``scan_duplicates``
+    over ``input_files`` (the files ``ds`` reads), or by a column-pruned
+    scan of ``ds`` without them; they are dropped from the stream, and
+    their winner rows (first occurrence) are extracted on the driver and
+    unioned in AFTER the extract stage, so the streamed chain stays fused
+    (a pre-extract union costs an extra trip of the whole corpus through
+    the object store — measured). ``run_partitioned`` writes the winners
+    as a side file instead of a union.
+
+    ``chain_kw``: the extract chain's options (``ocr``, ``ocr_engine``,
+    ``ocr_model``, ``ocr_concurrency``, ``batch_size``, ``skew_threshold``,
+    ``monster_batch_size``, ``big_blocks``, ``metrics``; see
+    ``_extract_chain``).
     """
-    import pyarrow.parquet as pq
-
-    from ..stages.engines import ocr_task
-
-    dup_ids, file_dups = scan_duplicates(input_files)
-    dup_files = [f for f in input_files if f in file_dups]
-    ds = ray.data.read_parquet(input_files)
+    winners = None
+    if dedup:
+        if input_files is not None:
+            # distributed narrow id-hash scan straight off the files
+            dup_ids, file_dups = scan_duplicates(input_files)
+            # keep the caller's file order (not lexicographic) so the
+            # winner is the true first occurrence in file order
+            input_files = [f for f in input_files if f in file_dups]
+        else:
+            dup_ids = find_duplicate_ids(ds.select_columns(["doc_id"]))
+        if dup_ids:
+            winners = _winner_rows(input_files, ds, dup_ids)
+            ds = _drop_ids(ds, dup_ids)
     lookup = jobs if isinstance(jobs, dict) else jobs_table_to_lookup(jobs)
-    jobs_ref = ray.put(lookup) if lookup else None
-    if dup_ids:
-        dup_ref = ray.put(pa.array(sorted(dup_ids), pa.string()))
+    out, side = _extract_chain(
+        ds, winners, lookup, ray.put(lookup) if lookup else None, **chain_kw
+    )
+    return out if side is None else out.union(ray.data.from_arrow(side))
 
-        def drop_dups(batch: pa.Table) -> pa.Table:
-            return batch.filter(
-                pc.invert(
-                    pc.is_in(batch.column("doc_id"), value_set=ray.get(dup_ref))
-                )
-            )
 
-        ds = ds.map_batches(drop_dups, batch_format="pyarrow")
+def _dedup_plan(
+    input_paths: list[str], chunks: list[tuple[int, list[str]]]
+) -> dict[int, tuple[set, set, list[str]]]:
+    """Per partition holding a duplicated doc_id: (the dup ids to drop from
+    its stream, the subset it owns, its files that hold dup ids).
 
-    def _extract(batch: pa.Table) -> pa.Table:
-        j = ray.get(jobs_ref) if jobs_ref is not None else {}
-        return extract_batch(batch, j, emit_payloads=ocr)
-
-    out = ds.map_batches(_extract, batch_format="pyarrow", batch_size=batch_size)
-    if ocr:
-        out = out.map_batches(
-            ocr_task,
-            fn_kwargs={"engine": ocr_engine, "model": ocr_model},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    out.write_parquet(out_dir, compression=compression)
-    if dup_ids:
-        winners = _winner_rows(dup_files, None, dup_ids)
-        side = extract_batch(winners, lookup or {}, emit_payloads=ocr)
-        if ocr:
-            side = ocr_task(side, engine=ocr_engine, model=ocr_model)
-        pq.write_table(
-            side,
-            f"{out_dir.rstrip('/')}/winners.parquet",
-            compression=compression,
-        )
+    A duplicated id is owned by the first partition holding it (partition
+    order is deterministic, so resume reproduces it); the owner writes its
+    winner row, every partition drops the id from its stream. Only the
+    narrow doc_id column is ever read twice; payloads stream exactly once.
+    """
+    _, file_dups = scan_duplicates(input_paths)
+    plan: dict[int, tuple[set, set, list[str]]] = {}
+    seen: set = set()
+    for pid, files in chunks:
+        present = set().union(*(file_dups.get(f, ()) for f in files))
+        if present:
+            plan[pid] = (present, present - seen, [f for f in files if f in file_dups])
+            seen |= present
+    return plan
 
 
 def run_partitioned(
@@ -450,22 +400,27 @@ def run_partitioned(
     *,
     partition_size: int = 8,
     resume: bool = True,
-    **pipeline_kw,
+    dedup: bool = True,
+    **chain_kw,
 ) -> dict:
     """Checkpoint-resumable run: input files → partitioned parquet output.
 
     Partition = ``partition_size`` input files; each is processed by its own
     streaming pipeline and committed atomically (temp dir → rename +
     manifest append). Resume skips committed partitions — the anti-join of
-    input partitions vs the manifest (SURVEY.md §4 resume row).
+    input partitions vs the manifest (SURVEY.md §4 resume row) — and a run
+    with nothing pending returns before any scan or broadcast.
 
-    Cross-partition exact dedup without moving payloads: a column-pruned
-    distributed scan counts doc_ids; the (rare) duplicated ids are then
-    assigned an *owner* partition (first in partition order — deterministic,
-    so resume reproduces it), and every other partition drops them. Only the
-    narrow doc_id column is ever read twice; payloads stream exactly once.
+    The plan is made once per run: ``_dedup_plan`` (cross-partition exact
+    dedup without moving payloads) and one broadcast of the jobs lookup.
+    The partition writer then runs one fused read → drop-dups → extract →
+    OCR → write chain per pending partition and writes its owned winners
+    as ``winners.parquet`` in the same temp dir. ``chain_kw``: see
+    ``_extract_chain``.
     """
     import hashlib
+
+    import pyarrow.parquet as pq
 
     manifest = Manifest(out_dir)
     chunks = [
@@ -485,7 +440,7 @@ def run_partitioned(
         for pid, row in manifest.completed().items():
             if row.get("files_md5", chunk_md5.get(pid)) == chunk_md5.get(pid):
                 done.add(pid)
-    metrics_name = pipeline_kw.get("metrics")
+    metrics_name = chain_kw.get("metrics")
     metrics_actor = None
     if metrics_name:
         from ..state.metrics import get_metrics_actor
@@ -494,55 +449,36 @@ def run_partitioned(
         ray.get(metrics_actor.set_gauge.remote(partitions_total=len(chunks)))
         if done:
             ray.get(metrics_actor.report.remote(partitions_done=len(done)))
-    dedup = pipeline_kw.get("dedup", True)
-    exclude: dict[int, set] = {}
-    chunk_dups: dict[int, set] = {}
-    chunk_dup_files: dict[int, list[str]] = {}
-    if dedup and len(chunks) > 1:
-        dup_ids, file_dups = scan_duplicates(input_paths)
-        owner: dict = {}
-        for pid, files in chunks:
-            if not dup_ids:
-                break
-            present: set = set()
-            for f in files:
-                present |= file_dups.get(f, set())
-            excl = {d for d in present if owner.get(d, pid) != pid}
-            for d in present:
-                owner.setdefault(d, pid)
-            if excl:
-                exclude[pid] = excl
-            chunk_dups[pid] = present
-            chunk_dup_files[pid] = [f for f in files if file_dups.get(f)]
-    ran, skipped = [], []
-    for pid, files in chunks:
-        if pid in done:
-            skipped.append(pid)
-            continue
-        t0 = time.perf_counter()
-        ds = ray.data.read_parquet(files)
-        out = build_extract_pipeline(
-            ds,
-            jobs,
-            dup_ids=chunk_dups.get(pid, set()) if (dedup and len(chunks) > 1) else None,
-            exclude_ids=exclude.get(pid),
-            input_files=chunk_dup_files.get(pid, files) if dedup else files,
-            **pipeline_kw,
-        )
-        tmp = manifest.begin(pid)
-        out.write_parquet(tmp)
-        wall = time.perf_counter() - t0
-        metrics = _partition_metrics(tmp)
-        metrics["wall_s"] = round(wall, 4)
-        metrics["files_md5"] = chunk_md5[pid]
-        manifest.commit(pid, metrics)
-        if metrics_actor is not None:
-            metrics_actor.report.remote(partitions_done=1)
-        ran.append(pid)
+    pending = [(pid, files) for pid, files in chunks if pid not in done]
+    ran = []
+    if pending:
+        plan = _dedup_plan(input_paths, chunks) if dedup else {}
+        lookup = jobs if isinstance(jobs, dict) else jobs_table_to_lookup(jobs)
+        jobs_ref = ray.put(lookup) if lookup else None
+        for pid, files in pending:
+            t0 = time.perf_counter()
+            drop, owned, dup_files = plan.get(pid, ((), (), ()))
+            ds = ray.data.read_parquet(files)
+            if drop:
+                ds = _drop_ids(ds, drop)
+            winners = _winner_rows(dup_files, None, owned) if owned else None
+            out, side = _extract_chain(ds, winners, lookup, jobs_ref, **chain_kw)
+            tmp = manifest.begin(pid)
+            out.write_parquet(tmp)
+            if side is not None:
+                pq.write_table(side, os.path.join(tmp, "winners.parquet"))
+            wall = time.perf_counter() - t0
+            metrics = _partition_metrics(tmp)
+            metrics["wall_s"] = round(wall, 4)
+            metrics["files_md5"] = chunk_md5[pid]
+            manifest.commit(pid, metrics)
+            if metrics_actor is not None:
+                metrics_actor.report.remote(partitions_done=1)
+            ran.append(pid)
     return {
         "out_dir": out_dir,
         "partitions_run": ran,
-        "partitions_skipped": skipped,
+        "partitions_skipped": [pid for pid, _ in chunks if pid in done],
         "manifest": manifest.path,
         "output_dirs": manifest.output_dirs(),
         "output_files": manifest.output_files(),

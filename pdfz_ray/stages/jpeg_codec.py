@@ -407,7 +407,7 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
     huff: dict[tuple[int, int], _HuffTable] = {}
     restart_interval = 0
     frame = None
-    comps: list[tuple[int, int]] = []  # (comp_id, quant_table_id)
+    comps: list[tuple[int, int, int, int]] = []  # (cid, tq, hi, vi)
     scan_map: list[tuple[int, int]] = []  # (dc_table, ac_table) per comp
     n = len(payload)
     while pos + 4 <= n:
@@ -459,6 +459,9 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
     if frame is None or not scan_map:
         raise ValueError("missing SOF0/SOS")
     h, w, nc = frame
+    if len(scan_map) < nc:
+        # the components are spread over several scans
+        raise ValueError("multi-scan baseline unsupported")
     # Sampling factors (T.81 A.2): MCU covers 8·Hmax × 8·Vmax pixels and
     # carries hi×vi blocks per component in raster order. A 4:4:4 stream
     # degenerates to one block per component per MCU (bit-identical to the

@@ -35,16 +35,22 @@ class Manifest:
         os.makedirs(out_dir, exist_ok=True)
 
     def completed(self) -> dict[int, dict]:
+        """Committed partitions by id. A final line that does not parse is
+        an append torn by a crash: its partition never committed, so it is
+        skipped (and re-run). A torn line anywhere else still raises."""
         done: dict[int, dict] = {}
         if os.path.exists(self.path):
             with open(self.path) as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
+                lines = [s for s in (line.strip() for line in f) if s]
+            for i, line in enumerate(lines):
+                try:
                     row = json.loads(line)
-                    if row.get("status") == "done":
-                        done[int(row["partition_id"])] = row
+                except json.JSONDecodeError:
+                    if i == len(lines) - 1:
+                        break
+                    raise
+                if row.get("status") == "done":
+                    done[int(row["partition_id"])] = row
         return done
 
     def partition_dir(self, pid: int) -> str:
@@ -73,8 +79,15 @@ class Manifest:
             "committed_at": time.time(),
             **metrics,
         }
-        with open(self.path, "a") as f:
-            f.write(json.dumps(row) + "\n")
+        with open(self.path, "ab+") as f:
+            if f.seek(0, os.SEEK_END):
+                f.seek(-1, os.SEEK_END)
+                if f.read(1) != b"\n":
+                    # a torn final line from a crash: cut it, or this
+                    # record would be glued onto it
+                    f.seek(0)
+                    f.truncate(f.read().rfind(b"\n") + 1)
+            f.write((json.dumps(row) + "\n").encode())
 
     def output_dirs(self) -> list[str]:
         return [self.partition_dir(pid) for pid in sorted(self.completed())]

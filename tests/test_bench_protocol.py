@@ -21,7 +21,7 @@ class _FakeProc:
 
 
 def _fake_extract(out_dir):
-    """Stand-in for extract_to_dir: (re)creates out_dir with one file."""
+    """Stand-in for the flagship extract: (re)creates out_dir with one file."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "part-0.parquet"), "w") as f:
         f.write("data")

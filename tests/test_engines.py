@@ -413,6 +413,25 @@ def test_jpeg_decode_restart_intervals():
         jc.decode_jpeg(bad)
 
 
+
+def test_jpeg_multi_scan_baseline_raises_value_error():
+    """An SOS naming fewer components than the SOF (a baseline frame split
+    over several scans) is refused with a ValueError, not an IndexError."""
+    import numpy as np
+
+    from pdfz_ray.stages import jpeg_codec as jc
+
+    h, w = 16, 16
+    y = (np.add.outer(np.arange(h) * 5, np.arange(w) * 3) % 200).astype(np.uint8)
+    chroma = np.full((h, w), 128.0)
+    stream = _encode_subsampled(y, chroma, chroma, (1, 1))
+    i = stream.find(b"\xff\xda")
+    ln = int.from_bytes(stream[i + 2 : i + 4], "big")
+    luma_only = jc._seg(0xDA, bytes([1, 1, 0x00, 0, 63, 0]))
+    bad = stream[:i] + luma_only + stream[i + 2 + ln :]
+    with pytest.raises(ValueError, match="multi-scan baseline unsupported"):
+        jc.decode_jpeg(bad)
+
 def _canonical_maps(lengths, syms):
     """Canonical (symbol → (code, len)) map from a DHT-style (BITS,
     HUFFVAL) pair — the same construction _HuffTable uses for decode."""

@@ -62,38 +62,134 @@ def test_pipeline_dedup_exact(ray_session, corpus_files):
     assert out.count() == n_unique
 
 
-def test_extract_to_dir_matches_union_topology(ray_session, corpus_files, tmp_path):
-    """extract_to_dir (fused map→write + winners side file — the bench /
-    at-scale topology) is row-identical to build_extract_pipeline's
-    Dataset.union topology."""
+def _check_partitioned_matches_union(corpus_files, tmp_path, **kw):
+    """run_partitioned (fused per-partition chain + owned winners as a
+    side file, the job path) is row-identical to build_extract_pipeline's
+    Dataset.union topology at every partition size, with the jobs table,
+    OCR on and cross-partition dups; exactly the partitions that own a
+    duplicated id hold ``winners.parquet``."""
     import pyarrow.dataset as pads
     import ray.data as rd
 
     from pdfz_ray.pipelines.extract_pipeline import (
         build_extract_pipeline,
-        extract_to_dir,
+        run_partitioned,
     )
 
     tbl, paths = corpus_files
-    jobs = jobs_table_to_lookup(make_jobs(120))
-
-    d_union = str(tmp_path / "out_union")
-    build_extract_pipeline(
-        rd.read_parquet(paths), jobs, dedup=True, input_files=paths, ocr=True
-    ).write_parquet(d_union)
-    d_fused = str(tmp_path / "out_fused")
-    extract_to_dir(paths, d_fused, jobs, ocr=True)
+    jobs = make_jobs(120)
 
     def rows(d):
         t = pads.dataset(d, format="parquet").to_table()
-        return sorted(
-            (r["doc_id"], r["status"], r["pages"], str(r["spans"]))
-            for r in t.to_pylist()
-        )
+        return sorted(t.to_pylist(), key=lambda r: r["doc_id"])
 
-    assert rows(d_fused) == rows(d_union)
-    # the winners side file exists (the fixture corpus has a dup-id tail)
-    assert os.path.exists(os.path.join(d_fused, "winners.parquet"))
+    d_union = str(tmp_path / "out_union")
+    build_extract_pipeline(
+        rd.read_parquet(paths), jobs, input_files=paths, ocr=True, **kw
+    ).write_parquet(d_union)
+    want = rows(d_union)
+    assert len(want) == len(set(tbl.column("doc_id").to_pylist()))
+
+    # first file holding each duplicated id (the corpus's dup tail)
+    first_file: dict = {}
+    seen_twice = set()
+    for i, p in enumerate(paths):
+        for d in pq.read_table(p, columns=["doc_id"]).column("doc_id").to_pylist():
+            if d in first_file:
+                seen_twice.add(d)
+            first_file.setdefault(d, i)
+    assert seen_twice
+    for size in (1, 2, len(paths)):
+        out_dir = str(tmp_path / f"out_part{size}")
+        res = run_partitioned(paths, out_dir, jobs, partition_size=size, ocr=True, **kw)
+        assert rows(out_dir) == want, size
+        owners = {first_file[d] // size for d in seen_twice}
+        with_winners = {
+            pid
+            for pid, d in enumerate(res["output_dirs"])
+            if os.path.exists(os.path.join(d, "winners.parquet"))
+        }
+        assert with_winners == owners, size
+
+
+def test_run_partitioned_matches_union_topology(ray_session, corpus_files, tmp_path):
+    _check_partitioned_matches_union(corpus_files, tmp_path)
+
+
+def test_run_partitioned_matches_union_topology_skewed(
+    ray_session, corpus_files, tmp_path
+):
+    """The same check with size-bucket routing (200-span monsters routed)."""
+    _check_partitioned_matches_union(
+        corpus_files, tmp_path, skew_threshold=100, monster_batch_size=4, big_blocks=4
+    )
+
+
+def test_resume_of_committed_run_skips_planning(
+    ray_session, corpus_files, tmp_path, monkeypatch
+):
+    """Resubmitting a fully committed run neither scans for duplicates nor
+    builds the jobs lookup: it returns before any planning."""
+    from pdfz_ray.pipelines import extract_pipeline as ep
+
+    _, paths = corpus_files
+    jobs = make_jobs(120)
+    out_dir = str(tmp_path / "out")
+    res1 = ep.run_partitioned(paths, out_dir, jobs, partition_size=2, ocr=False)
+    assert res1["partitions_run"] == [0, 1]
+
+    def boom(*a, **k):
+        raise AssertionError("planning ran on a fully committed resume")
+
+    monkeypatch.setattr(ep, "scan_duplicates", boom)
+    monkeypatch.setattr(ep, "jobs_table_to_lookup", boom)
+    res2 = ep.run_partitioned(paths, out_dir, jobs, partition_size=2, ocr=False)
+    assert res2["partitions_run"] == []
+    assert res2["partitions_skipped"] == [0, 1]
+    assert res2["output_files"] == res1["output_files"]
+
+
+def test_resume_after_torn_manifest_line(ray_session, corpus_files, tmp_path):
+    """A crash mid-append leaves the manifest's last line torn: resume
+    skips the partitions committed before it, re-runs only the torn one,
+    and repairs the file so the next resume runs nothing. A torn line
+    that is not the last still raises."""
+    import json
+
+    import ray.data as rd
+
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+    from pdfz_ray.state.manifest import Manifest
+    from pdfz_ray.stages.extract import flatten_output
+
+    tbl, paths = corpus_files
+    out_dir = str(tmp_path / "out")
+    res1 = run_partitioned(paths, out_dir, partition_size=1, ocr=False)
+    assert res1["partitions_run"] == [0, 1, 2, 3]
+    man = res1["manifest"]
+    text = open(man).read()
+    last = text.rstrip("\n").rsplit("\n", 1)[1]
+    with open(man, "w") as f:
+        f.write(text[: text.rindex(last) + len(last) // 2])  # mid-record
+
+    res2 = run_partitioned(paths, out_dir, partition_size=1, ocr=False)
+    assert res2["partitions_skipped"] == [0, 1, 2]
+    assert res2["partitions_run"] == [3]
+    res3 = run_partitioned(paths, out_dir, partition_size=1, ocr=False)
+    assert res3["partitions_run"] == []
+    assert len(open(man).read().splitlines()) == 4
+
+    final = rd.read_parquet(res3["output_files"])
+    flat = final.map_batches(flatten_output, batch_format="pyarrow")
+    got = sorted(tuple(r.values()) for r in flat.take_all())
+    want = sorted(tuple(r.values()) for r in _oracle_flat(tbl))
+    assert got == want
+
+    lines = open(man).read().splitlines()
+    with open(man, "w") as f:
+        f.write("\n".join([lines[0][:10]] + lines[1:]) + "\n")
+    with pytest.raises(json.JSONDecodeError):
+        Manifest(out_dir).completed()
 
 
 def test_run_partitioned_and_resume(ray_session, corpus_files, tmp_path):
