@@ -1168,10 +1168,11 @@ def _earlier_survivor_mask(
     """Survivor-pruned mark for LSH-unsplittable dense masses: dropped[i]
     ⇔ i has an earlier IN-BLOCK neighbor OR an earlier SURVIVOR at cosine
     ≥ threshold. Sound (every drop is justified by a genuine earlier
-    neighbor, so exact duplicates are always caught — an exact dup's
-    earlier twin is either a survivor, or was itself dropped by an even
-    earlier vector that the dup also matches at the same cosine) but may
-    MISS drops the exact rule makes via dropped non-survivors. Compute is
+    neighbor) but may MISS drops the exact rule makes via dropped
+    non-survivors — exact duplicates included: an exact duplicate drops
+    when its earliest copy survives or shares its block; an earliest copy
+    dropped in an earlier block leaves the later copy matched only by
+    survivors, which need not reach the threshold. Compute is
     O(n·(s + B)) for s survivors — near-linear on the near-identical
     profile SemDeDup targets (s stays tiny), degrading toward the exact
     cost only when the mass is diverse yet LSH-colliding."""
@@ -1205,8 +1206,9 @@ def _capped_cluster_mark(
     (hyperplanes cannot split it) and falls back to the survivor-pruned
     scan, which is near-linear exactly on that profile. The capped path
     is sound-but-incomplete vs the exact rule: it never drops a vector
-    without a genuine earlier ≥-threshold neighbor, and always drops
-    exact duplicates. Returns (dropped, n_buckets_used)."""
+    without a genuine earlier ≥-threshold neighbor, and an exact
+    duplicate drops when its earliest copy survives or shares its
+    survivor-scan block. Returns (dropped, n_buckets_used)."""
     from pdfz_ray.functions.similarity import HyperplaneHasher
 
     n = len(x)
@@ -1260,8 +1262,9 @@ def semantic_dedup(
     (hyperplane-LSH buckets; survivor-pruned scan for directionally
     concentrated masses the hyperplanes cannot split), so per-cluster
     compute is bounded ~cap² per bucket instead of |cluster|² — the
-    capped path is sound-but-incomplete (never a false drop, exact
-    duplicates always drop). The groupby shuffles (vec_id, cluster,
+    capped path is sound-but-incomplete (never a false drop; an exact
+    duplicate drops when its earliest copy survives or shares its
+    block). The groupby shuffles (vec_id, cluster,
     embedding) once. Returns (vec_id, cluster, dropped) for every input
     row, sorted by vec_id. Not SQL-expressible (k-means state) —
     correctness is pinned by pytest: n_clusters=1 equals the exact

@@ -11,12 +11,14 @@ routing, per-batch progress) serves two entry points:
 
 - ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
   once per run: one dup scan assigns each duplicated doc_id an owner
-  partition and one ``ray.put`` broadcasts the jobs lookup. Its partition
-  writer then runs, per pending partition, one fused
-  read → drop-dups → extract → OCR → write chain into the partition's temp
-  dir; the partition's owned dedup winners are extracted on the driver and
-  written beside that output as ``winners.parquet``, so they share the
-  partition's atomic commit and never pass through a ``Dataset.union``;
+  partition and one ``ray.put`` broadcasts the jobs lookup. It then runs
+  the pending partitions in doubling waves (1, 2, 4, … partitions), one
+  fused read → drop-dups → extract → OCR → write execution per wave; the
+  writer splits each batch by partition into the partitions' temp dirs
+  and returns the manifest counts, and each wave's owned dedup winners
+  are extracted on the driver and written beside that output as
+  ``winners.parquet``, so they share the partition's atomic commit and
+  never pass through a ``Dataset.union``;
 - ``build_extract_pipeline`` returns a lazy Dataset, so it unions the
   winner rows into the stream.
 
@@ -31,12 +33,14 @@ Scale notes (the 100 TB design points):
   stage so a slow model can't idle the cheap extract tasks (the
   reference's shared single Ollama is exactly this bottleneck,
   docker-compose.yml:86-98);
-- output is committed per input partition (atomic rename + manifest line),
-  so a resumed run skips finished partitions exactly.
+- output is committed per input partition (atomic rename + manifest line)
+  as soon as its rows are written, so a resumed run skips finished
+  partitions exactly and a crash loses at most one wave.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 
@@ -52,6 +56,8 @@ from ..oracle import Job
 from ..stages.engines import OcrStage, ocr_task
 from ..stages.extract import extract_batch, flatten_output
 from ..state.manifest import Manifest
+
+log = logging.getLogger(__name__)
 
 
 def dedup_within_batch(batch: pa.Table) -> pa.Table:
@@ -92,8 +98,9 @@ def _file_id_hashes(path: str) -> "np.ndarray":
 
 def scan_duplicates(
     input_files: list[str],
-) -> tuple[set, dict[str, set]]:
-    """(dup_ids, per-file dup-id presence) via a distributed narrow scan.
+) -> tuple[set, dict[str, dict[str, int]]]:
+    """(dup_ids, per file holding one: {dup id: its rows in that file}) via
+    a distributed narrow scan.
 
     One raw Ray task per file reads ONLY the doc_id column and returns
     uint64 hashes (8 bytes/row — a Dataset string groupby here cost 10×
@@ -105,7 +112,8 @@ def scan_duplicates(
     per run: tree-merge the per-file hash arrays in tasks instead of
     concatenating on the driver.
     """
-    import pandas as pd
+    from collections import Counter
+
     import pyarrow.parquet as pq
 
     hashes = ray.get([_file_id_hashes.remote(f) for f in input_files])
@@ -114,10 +122,8 @@ def scan_duplicates(
     if len(dup_h) == 0:
         return set(), {}
     # exact resolution: count candidate id strings in the touched files
-    from collections import Counter
-
     cnt: Counter = Counter()
-    file_candidates: dict[str, set] = {}
+    file_candidates: dict[str, Counter] = {}
     for f, h in zip(input_files, hashes):
         mask = np.isin(h, dup_h)
         if not mask.any():
@@ -126,14 +132,13 @@ def scan_duplicates(
             pq.read_table(f, columns=["doc_id"]).column("doc_id")
             .to_numpy(zero_copy_only=False)
         )
-        cand = ids[mask]
-        file_candidates[f] = set(cand.tolist())
-        cnt.update(cand.tolist())
+        file_candidates[f] = Counter(ids[mask].tolist())
+        cnt.update(file_candidates[f])
     dup_ids = {s for s, c in cnt.items() if c > 1}
     file_dups = {
-        f: cands & dup_ids
+        f: held
         for f, cands in file_candidates.items()
-        if cands & dup_ids
+        if (held := {s: c for s, c in cands.items() if s in dup_ids})
     }
     return dup_ids, file_dups
 
@@ -238,9 +243,15 @@ def _extract_chain(
     monster_batch_size: int = 16,
     big_blocks: int = 32,
     metrics: str | None = None,
+    writer=None,
 ) -> tuple["ray.data.Dataset", pa.Table | None]:
     """(streamed extract(→OCR) of ``ds``, the same done to ``winners`` on
     the driver — None without winners).
+
+    A ``path`` column of ``ds`` (the source file of each row) rides along
+    through extract and OCR. ``writer`` (a ``_partition_writer``) ends
+    every branch of the stream, fused into its last map task; the stream
+    then carries only the writer's count rows.
 
     ``jobs_ref`` is ``ray.put(lookup)`` (None for an empty lookup), made
     once by the caller and read per task.
@@ -267,6 +278,8 @@ def _extract_chain(
         j = ray.get(jobs_ref) if jobs_ref is not None else {}
         out = extract_batch(batch, j, emit_payloads=ocr)
         _report_metrics(out, metrics)
+        if "path" in batch.column_names:
+            out = out.append_column("path", batch.column("path"))
         return out
 
     def _chain(src: "ray.data.Dataset", bsize: int) -> "ray.data.Dataset":
@@ -288,6 +301,8 @@ def _extract_chain(
                     concurrency=ocr_concurrency,
                     num_cpus=1,
                 )
+        if writer is not None:
+            out = out.map_batches(writer, batch_format="pyarrow")
         return out
 
     if skew_threshold is None:
@@ -371,26 +386,67 @@ def build_extract_pipeline(
     return out if side is None else out.union(ray.data.from_arrow(side))
 
 
-def _dedup_plan(
-    input_paths: list[str], chunks: list[tuple[int, list[str]]]
-) -> dict[int, tuple[set, set, list[str]]]:
-    """Per partition holding a duplicated doc_id: (the dup ids to drop from
-    its stream, the subset it owns, its files that hold dup ids).
+# a write task's row per partition it wrote: the manifest's lineage counts
+_COUNTS = pa.schema(
+    (name, pa.int64())
+    for name in ("pid", "docs", "docs_failed", "pages", "decode_failures", "empty_pages")
+)
 
-    A duplicated id is owned by the first partition holding it (partition
-    order is deterministic, so resume reproduces it); the owner writes its
-    winner row, every partition drops the id from its stream. Only the
-    narrow doc_id column is ever read twice; payloads stream exactly once.
+
+def _metrics_of(t: pa.Table) -> dict:
+    """Manifest lineage counts of extraction output rows."""
+    failed = pc.equal(t.column("status"), "failed").cast(pa.int64())
+    return {
+        "docs": t.num_rows,
+        "docs_failed": int(pc.sum(failed).as_py() or 0),
+        "pages": int(pc.sum(t.column("pages")).as_py() or 0),
+        "decode_failures": int(pc.sum(t.column("decode_failures")).as_py() or 0),
+        "empty_pages": int(pc.sum(t.column("empty_pages")).as_py() or 0),
+    }
+
+
+def _partition_writer(file_pid: dict[str, int], dirs: dict[int, str]):
+    """Writer UDF of a wave: splits an extraction batch by partition (its
+    ``path`` column through ``file_pid``), writes each part as one parquet
+    file into the partition's temp dir (``dirs``), and returns one
+    ``_COUNTS`` row per part.
+
+    A file's name is the md5 of the part's source paths and doc_ids, so a
+    retried task overwrites the files of its failed attempt instead of
+    adding copies, and the counts it returns hold for the files left.
     """
-    _, file_dups = scan_duplicates(input_paths)
-    plan: dict[int, tuple[set, set, list[str]]] = {}
-    seen: set = set()
-    for pid, files in chunks:
-        present = set().union(*(file_dups.get(f, ()) for f in files))
-        if present:
-            plan[pid] = (present, present - seen, [f for f in files if f in file_dups])
-            seen |= present
-    return plan
+    import hashlib
+
+    import pyarrow.parquet as pq
+
+    paths = pa.array(list(file_pid), pa.string())
+    pids = np.array(list(file_pid.values()), np.int64)
+
+    def write(batch: pa.Table) -> pa.Table:
+        row_pid = pids[
+            pc.index_in(batch.column("path"), value_set=paths).to_numpy()
+        ]
+        rows = []
+        for pid in np.unique(row_pid).tolist():
+            part = batch.filter(pa.array(row_pid == pid))
+            key = pc.unique(part.column("path")).to_pylist()
+            key += part.column("doc_id").to_pylist()
+            name = hashlib.md5("\n".join(key).encode()).hexdigest()
+            part = part.drop_columns(["path"])
+            pq.write_table(part, os.path.join(dirs[pid], f"{name}.parquet"))
+            rows.append({"pid": pid, **_metrics_of(part)})
+        return pa.Table.from_pylist(rows, schema=_COUNTS)
+
+    return write
+
+
+def _waves(pending: list) -> list[list]:
+    """``pending`` cut, in order, into waves of 1, 2, 4, 8, … items."""
+    waves, lo = [], 0
+    while lo < len(pending):
+        waves.append(pending[lo : 2 * lo + 1])
+        lo = 2 * lo + 1
+    return waves
 
 
 def run_partitioned(
@@ -405,18 +461,31 @@ def run_partitioned(
 ) -> dict:
     """Checkpoint-resumable run: input files → partitioned parquet output.
 
-    Partition = ``partition_size`` input files; each is processed by its own
-    streaming pipeline and committed atomically (temp dir → rename +
-    manifest append). Resume skips committed partitions — the anti-join of
-    input partitions vs the manifest (SURVEY.md §4 resume row) — and a run
-    with nothing pending returns before any scan or broadcast.
+    Partition = ``partition_size`` input files, the unit of commit (temp
+    dir → rename + manifest append) and of resume: resume skips committed
+    partitions (the anti-join of input partitions vs the manifest, SURVEY.md
+    §4 resume row), and a run with nothing pending returns before any scan
+    or broadcast.
 
-    The plan is made once per run: ``_dedup_plan`` (cross-partition exact
-    dedup without moving payloads) and one broadcast of the jobs lookup.
-    The partition writer then runs one fused read → drop-dups → extract →
-    OCR → write chain per pending partition and writes its owned winners
-    as ``winners.parquet`` in the same temp dir. ``chain_kw``: see
-    ``_extract_chain``.
+    The plan is made once per run: one ``scan_duplicates`` (a duplicated
+    doc_id is owned by the first partition holding it, which writes its
+    winner row; every partition drops it from its stream) and one broadcast
+    of the jobs lookup. Pending partitions then run in waves of 1, 2, 4, 8,
+    … partitions, one Ray Data execution per wave: read → ``is_in`` drop →
+    extract → OCR → ``_partition_writer``, whose tasks return the counts
+    of what they wrote. The wave's owned winners are extracted once on the
+    driver and written as ``winners.parquet`` into their owners' temp dirs.
+    A partition commits once its docs reach the expected count (winners
+    plus input rows less dup-id rows, from footers and the scan), so one
+    holding only duplicates owned elsewhere commits at once, empty. A crash
+    redoes at most the running wave, never larger than the work committed
+    before it plus one partition.
+
+    Manifest rows: the partition's counts (``docs``, ``docs_failed``,
+    ``pages``, ``decode_failures``, ``empty_pages``), ``wave`` (0-based
+    index in this run), ``wall_s`` (the wave's wall time up to this
+    partition's commit) and ``files_md5``. Each wave logs one DEBUG record
+    on the ``pdfz_ray`` logger. ``chain_kw``: see ``_extract_chain``.
     """
     import hashlib
 
@@ -450,56 +519,90 @@ def run_partitioned(
         if done:
             ray.get(metrics_actor.report.remote(partitions_done=len(done)))
     pending = [(pid, files) for pid, files in chunks if pid not in done]
-    ran = []
     if pending:
-        plan = _dedup_plan(input_paths, chunks) if dedup else {}
+        file_dups = scan_duplicates(input_paths)[1] if dedup else {}
+        owner: dict = {}
+        for pid, files in chunks:
+            for f in files:
+                for d in file_dups.get(f, ()):
+                    owner.setdefault(d, pid)
         lookup = jobs if isinstance(jobs, dict) else jobs_table_to_lookup(jobs)
         jobs_ref = ray.put(lookup) if lookup else None
-        for pid, files in pending:
-            t0 = time.perf_counter()
-            drop, owned, dup_files = plan.get(pid, ((), (), ()))
-            ds = ray.data.read_parquet(files)
-            if drop:
-                ds = _drop_ids(ds, drop)
-            winners = _winner_rows(dup_files, None, owned) if owned else None
-            out, side = _extract_chain(ds, winners, lookup, jobs_ref, **chain_kw)
-            tmp = manifest.begin(pid)
-            out.write_parquet(tmp)
-            if side is not None:
-                pq.write_table(side, os.path.join(tmp, "winners.parquet"))
-            wall = time.perf_counter() - t0
-            metrics = _partition_metrics(tmp)
-            metrics["wall_s"] = round(wall, 4)
-            metrics["files_md5"] = chunk_md5[pid]
-            manifest.commit(pid, metrics)
-            if metrics_actor is not None:
-                metrics_actor.report.remote(partitions_done=1)
-            ran.append(pid)
+    for k, wave in enumerate(_waves(pending)):
+        t0 = time.perf_counter()
+        files = [f for _, fs in wave for f in fs]
+        tmp = {pid: manifest.begin(pid) for pid, _ in wave}
+        drop = set().union(*(file_dups.get(f, ()) for f in files))
+        owned = {d for d in drop if owner[d] in tmp}
+        ds = ray.data.read_parquet(files, include_paths=True)
+        if drop:
+            ds = _drop_ids(ds, drop)
+        dup_files = [f for f in files if f in file_dups]
+        winners = _winner_rows(dup_files, None, owned) if owned else None
+        out, side = _extract_chain(
+            ds, winners, lookup, jobs_ref,
+            writer=_partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
+            **chain_kw,
+        )
+        counts = {pid: dict.fromkeys(_COUNTS.names[1:], 0) for pid in tmp}
+        if side is not None:
+            by_owner = np.array([owner[d] for d in side.column("doc_id").to_pylist()])
+            for pid in np.unique(by_owner).tolist():
+                part = side.filter(pa.array(by_owner == pid))
+                pq.write_table(part, os.path.join(tmp[pid], "winners.parquet"))
+                counts[pid] = _metrics_of(part)
+        expected = {
+            pid: counts[pid]["docs"] + sum(
+                pq.read_metadata(f).num_rows - sum(file_dups.get(f, {}).values())
+                for f in fs
+            )
+            for pid, fs in wave
+        }
+
+        def settle(pid: int) -> None:
+            if pid in tmp and counts[pid]["docs"] == expected[pid]:
+                del tmp[pid]
+                manifest.commit(pid, {
+                    **counts[pid],
+                    "wave": k,
+                    "wall_s": round(time.perf_counter() - t0, 4),
+                    "files_md5": chunk_md5[pid],
+                })
+                if metrics_actor is not None:
+                    metrics_actor.report.remote(partitions_done=1)
+
+        for pid, _ in wave:
+            settle(pid)
+        if tmp:
+            # result bundles are pulled on this thread, not on a prefetch
+            # thread as in ``iter_batches``: an exception raised while
+            # waiting (a signal, say) then shuts the execution down before
+            # it propagates, and no thread keeps pulling during teardown
+            for bundle in out.iter_internal_ref_bundles():
+                for block in ray.get(bundle.block_refs):
+                    for row in block.to_pylist():
+                        pid = row.pop("pid")
+                        for name, v in row.items():
+                            counts[pid][name] += v
+                        settle(pid)
+        if tmp:
+            raise RuntimeError(
+                "partitions did not write their planned docs (written/planned): "
+                + ", ".join(f"{p}: {counts[p]['docs']}/{expected[p]}" for p in sorted(tmp))
+            )
+        log.debug(
+            "wave %d: partitions %s, %d files, %d dup ids dropped, "
+            "%d owned winners, %.3f s",
+            k, [pid for pid, _ in wave], len(files), len(drop), len(owned),
+            time.perf_counter() - t0,
+        )
     return {
         "out_dir": out_dir,
-        "partitions_run": ran,
+        "partitions_run": [pid for pid, _ in pending],
         "partitions_skipped": [pid for pid, _ in chunks if pid in done],
         "manifest": manifest.path,
         "output_dirs": manifest.output_dirs(),
         "output_files": manifest.output_files(),
-    }
-
-
-def _partition_metrics(part_dir: str) -> dict:
-    """Lineage metrics from the partition's own committed columns (reads
-    only the narrow metric columns, never the span payloads)."""
-    import pyarrow.dataset as pads
-
-    t = pads.dataset(part_dir, format="parquet").to_table(
-        columns=["status", "pages", "decode_failures", "empty_pages"]
-    )
-    status = t.column("status")
-    return {
-        "docs": t.num_rows,
-        "docs_failed": int(pc.sum(pc.equal(status, "failed").cast(pa.int64())).as_py() or 0),
-        "pages": int(pc.sum(t.column("pages")).as_py() or 0),
-        "decode_failures": int(pc.sum(t.column("decode_failures")).as_py() or 0),
-        "empty_pages": int(pc.sum(t.column("empty_pages")).as_py() or 0),
     }
 
 

@@ -242,6 +242,150 @@ def test_run_partitioned_and_resume(ray_session, corpus_files, tmp_path):
     )
 
 
+def test_partition_of_only_owned_duplicates(ray_session, tmp_path):
+    """A partition whose rows are all duplicates owned by an earlier
+    partition commits with zero streamed docs instead of failing, and the
+    output still equals the oracle."""
+    import json
+
+    import ray.data as rd
+
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+    from pdfz_ray.stages.extract import flatten_output
+
+    first = make_documents(30, monster_spans=50).slice(0, 30)
+    paths = [str(tmp_path / "f0.parquet"), str(tmp_path / "f1.parquet")]
+    pq.write_table(first, paths[0])
+    pq.write_table(first.slice(0, 10), paths[1])  # copies only
+    out_dir = str(tmp_path / "out")
+    res = run_partitioned(paths, out_dir, partition_size=1, ocr=False)
+    assert res["partitions_run"] == [0, 1]
+    rows = {r["partition_id"]: r for r in map(json.loads, open(res["manifest"]))}
+    assert rows[1]["docs"] == 0 and rows[1]["pages"] == 0
+    assert rows[0]["docs"] == 30
+
+    flat = rd.read_parquet(res["output_files"]).map_batches(
+        flatten_output, batch_format="pyarrow"
+    )
+    got = sorted(tuple(r.values()) for r in flat.take_all())
+    assert got == sorted(tuple(r.values()) for r in _oracle_flat(first))
+
+
+def test_partition_writer_is_retry_safe(tmp_path):
+    """The wave writer splits a batch by partition, one file per partition
+    it touches; calling it again on the same batch (a retried task) leaves
+    the same files with the same bytes; its count rows equal the counts of
+    the written files."""
+    import glob
+    import pathlib
+
+    from pdfz_ray.pipelines.extract_pipeline import _metrics_of, _partition_writer
+    from pdfz_ray.stages.extract import extract_batch
+
+    dirs = {0: str(tmp_path / "t0"), 1: str(tmp_path / "t1")}
+    for d in dirs.values():
+        os.makedirs(d)
+    batch = extract_batch(make_documents(40, monster_spans=50).slice(0, 40))
+    sources = ["a.parquet", "b.parquet", "c.parquet"]
+    batch = batch.append_column("path", pa.array([sources[i // 14] for i in range(40)]))
+    write = _partition_writer({"a.parquet": 0, "b.parquet": 1, "c.parquet": 1}, dirs)
+
+    def files():
+        found = sorted(glob.glob(str(tmp_path / "t*" / "*")))
+        return {f: pathlib.Path(f).read_bytes() for f in found}
+
+    counts = write(batch)
+    first = files()
+    assert write(batch).equals(counts)
+    assert files() == first
+    for pid, d in dirs.items():
+        written = glob.glob(os.path.join(d, "*"))
+        assert len(written) == 1
+        got = pq.read_table(written[0])
+        assert "path" not in got.column_names
+        row = [r for r in counts.to_pylist() if r["pid"] == pid]
+        assert row == [{"pid": pid, **_metrics_of(got)}]
+    assert sum(counts.column("docs").to_pylist()) == batch.num_rows
+
+
+def test_waves_double_and_resume_in_order(ray_session, tmp_path, monkeypatch):
+    """Pending partitions run in waves of 1, 2, 4, … partitions, one Ray
+    Data execution (read) each; the first partition commits before the
+    second wave is built; a resume runs waves over the pending partitions
+    only and reproduces the fresh run's output row for row."""
+    import json
+
+    import pyarrow.dataset as pads
+    import ray.data as rd
+
+    from pdfz_ray.pipelines.extract_pipeline import _waves, run_partitioned
+    from pdfz_ray.state.manifest import Manifest
+
+    assert [len(w) for w in _waves(list(range(16)))] == [1, 2, 4, 8, 1]
+    tbl = make_documents(88, monster_spans=50)  # dup tail in the last file
+    paths = []
+    for i in range(8):
+        p = str(tmp_path / f"f{i}.parquet")
+        pq.write_table(tbl.slice(i * 12, 12), p)
+        paths.append(p)
+    out_dir = str(tmp_path / "out")
+    reads = []
+    real_read = rd.read_parquet
+
+    def read(files, **kw):
+        reads.append(([paths.index(f) for f in files], set(Manifest(out_dir).completed())))
+        return real_read(files, **kw)
+
+    monkeypatch.setattr(rd, "read_parquet", read)
+    jobs = make_jobs(88)
+    res = run_partitioned(paths, out_dir, jobs, partition_size=1, ocr=False)
+    assert res["partitions_run"] == list(range(8))
+    assert [r[0] for r in reads] == [[0], [1, 2], [3, 4, 5, 6], [7]]
+    assert reads[1][1] == {0}
+
+    def rows():
+        t = pads.dataset(out_dir, format="parquet").to_table()
+        return sorted(t.to_pylist(), key=lambda r: r["doc_id"])
+
+    fresh = rows()
+    man = res["manifest"]
+    kept = [l for l in open(man) if json.loads(l)["partition_id"] in (0, 2, 5)]
+    with open(man, "w") as f:
+        f.writelines(kept)
+    reads.clear()
+    res2 = run_partitioned(paths, out_dir, jobs, partition_size=1, ocr=False)
+    assert [r[0] for r in reads] == [[1], [3, 4], [6, 7]]
+    assert res2["partitions_run"] == [1, 3, 4, 6, 7]
+    assert res2["partitions_skipped"] == [0, 2, 5]
+    assert rows() == fresh
+
+
+def test_wave_plan_is_logged(ray_session, corpus_files, tmp_path, caplog):
+    """One DEBUG record per wave on the ``pdfz_ray`` logger, which the
+    package leaves silent (no handler, no level); each manifest row names
+    its wave."""
+    import json
+    import logging
+
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+
+    pkg = logging.getLogger("pdfz_ray")
+    assert pkg.handlers == [] and pkg.level == logging.NOTSET
+    _, paths = corpus_files
+    caplog.set_level(logging.DEBUG, logger="pdfz_ray")
+    res = run_partitioned(paths, str(tmp_path / "out"), partition_size=1, ocr=False)
+    msgs = [r.getMessage() for r in caplog.records if r.name.startswith("pdfz_ray")]
+    assert len(msgs) == 3
+    assert msgs[0].startswith("wave 0: partitions [0], 1 files, ")
+    assert msgs[1].startswith("wave 1: partitions [1, 2], 2 files, ")
+    assert msgs[2].startswith("wave 2: partitions [3], 1 files, ")
+    assert all("dup ids dropped" in m and "owned winners" in m for m in msgs)
+    waves = {
+        r["partition_id"]: r["wave"] for r in map(json.loads, open(res["manifest"]))
+    }
+    assert waves == {0: 0, 1: 1, 2: 1, 3: 2}
+
+
 def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
     """A manifest 'done' pid is honored only when it still maps to the same
     file chunk — resuming with a different partition_size re-runs instead of
