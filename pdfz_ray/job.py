@@ -45,9 +45,9 @@ def main(argv: list[str] | None = None) -> int:
                    help="publish live progress to this named metrics actor "
                         "(poll with pdfz_ray.state.metrics.live_progress)")
     p.add_argument("--skew-threshold", type=int, default=None,
-                   help="route docs with more spans than this to a "
-                        "repartitioned small-batch branch (see "
-                        "estimate_span_threshold)")
+                   help="extract docs with more spans than this in a "
+                        "second stage, re-blocked into small batches after "
+                        "the read task (see estimate_span_threshold)")
     p.add_argument("--mode", choices=["extract", "curate"], default="extract",
                    help="extract = the flagship span pipeline; curate = "
                         "write packed training shards of the curated corpus")

@@ -6,8 +6,10 @@ the streaming executor's backpressured block scheduling; Redis
 status/progress becomes lineage columns + the per-partition manifest; the
 per-doc JSON files become one partitioned Parquet dataset.
 
-One extract chain (``_extract_chain``: extract → OCR, optional skew
-routing, per-batch progress) serves two entry points:
+One extract chain (``_extract_chain``: extract → OCR, per-batch
+progress, and on the job path optional skew routing, which extracts the
+docs above a span threshold in a second stage after a streaming re-block)
+serves two entry points:
 
 - ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
   once per run: one dup scan assigns each duplicated doc_id an owner
@@ -228,6 +230,13 @@ def _report_metrics(out: pa.Table, metrics: str | None) -> None:
         )
 
 
+# a write task's row per partition it wrote: the manifest's lineage counts
+_COUNTS = pa.schema(
+    (name, pa.int64())
+    for name in ("pid", "docs", "docs_failed", "pages", "decode_failures", "empty_pages")
+)
+
+
 def _extract_chain(
     ds: "ray.data.Dataset",
     winners: pa.Table | None,
@@ -241,7 +250,6 @@ def _extract_chain(
     batch_size: int = 1024,
     skew_threshold: int | None = None,
     monster_batch_size: int = 16,
-    big_blocks: int = 32,
     metrics: str | None = None,
     writer=None,
 ) -> tuple["ray.data.Dataset", pa.Table | None]:
@@ -250,8 +258,8 @@ def _extract_chain(
 
     A ``path`` column of ``ds`` (the source file of each row) rides along
     through extract and OCR. ``writer`` (a ``_partition_writer``) ends
-    every branch of the stream, fused into its last map task; the stream
-    then carries only the writer's count rows.
+    the stream, fused into its last map task; the stream then carries only
+    the writer's ``_COUNTS`` rows.
 
     ``jobs_ref`` is ``ray.put(lookup)`` (None for an empty lookup), made
     once by the caller and read per task.
@@ -269,10 +277,32 @@ def _extract_chain(
     that need exclusive resources (GPUs, big weights); size it knowing the
     upstream map fuses in.
 
-    ``skew_threshold``: docs with more spans than this take a separate
-    branch of ``monster_batch_size`` batches over ``big_blocks`` blocks
-    (see ``estimate_span_threshold``).
+    ``skew_threshold`` (size-bucket routing, SURVEY §7.1 M4; needs
+    ``writer`` and in-task OCR): the chain becomes light stage →
+    streaming re-block → heavy stage. The light stage, one map task fused
+    with the upstream drop filter, extracts, OCRs and writes the docs of
+    at most ``skew_threshold`` spans and passes the heavier docs on
+    unextracted. The re-block cuts its output into blocks of
+    ``monster_batch_size`` rows — a map operator, not an all-to-all
+    barrier — so c monsters in one read block spread over
+    ⌈c / ``monster_batch_size``⌉ heavy tasks (Ray's task granularity is
+    the block: ``batch_size`` does not split a block across tasks).
+    The heavy stage extracts, OCRs and writes those docs and passes the
+    light stage's count rows through: between the stages a row is either
+    a count row (``pid`` set) or a heavy doc (``pid`` null). See
+    ``estimate_span_threshold``.
     """
+    if skew_threshold is not None and writer is None:
+        raise ValueError(
+            "skew_threshold routes docs only on the job path (run_partitioned): "
+            "without a writer the re-block would cut the light output into "
+            "blocks of monster_batch_size rows"
+        )
+    if skew_threshold is not None and ocr_concurrency is not None:
+        raise ValueError(
+            "skew_threshold runs OCR inside the light and heavy stages' tasks; "
+            "it cannot be combined with an ocr_concurrency actor pool"
+        )
 
     def _extract(batch: pa.Table) -> pa.Table:
         j = ray.get(jobs_ref) if jobs_ref is not None else {}
@@ -282,57 +312,57 @@ def _extract_chain(
             out = out.append_column("path", batch.column("path"))
         return out
 
-    def _chain(src: "ray.data.Dataset", bsize: int) -> "ray.data.Dataset":
-        out = src.map_batches(_extract, batch_format="pyarrow", batch_size=bsize)
+    if skew_threshold is None:
+        out = ds.map_batches(_extract, batch_format="pyarrow", batch_size=batch_size)
         if ocr:
             if ocr_concurrency is None:
                 out = out.map_batches(
                     ocr_task,
                     fn_kwargs={"engine": ocr_engine, "model": ocr_model},
                     batch_format="pyarrow",
-                    batch_size=bsize,
+                    batch_size=batch_size,
                 )
             else:
                 out = out.map_batches(
                     OcrStage,
                     fn_constructor_kwargs={"engine": ocr_engine, "model": ocr_model},
                     batch_format="pyarrow",
-                    batch_size=bsize,
+                    batch_size=batch_size,
                     concurrency=ocr_concurrency,
                     num_cpus=1,
                 )
         if writer is not None:
             out = out.map_batches(writer, batch_format="pyarrow")
-        return out
-
-    if skew_threshold is None:
-        out = _chain(ds, batch_size)
     else:
-        # size-bucket routing (SURVEY §7.1 M4): monster docs go to their
-        # own branch, REPARTITIONED into small blocks — Ray's task
-        # granularity is the block (measured: batch_size does not split a
-        # block across tasks), so a cluster of 100×-median docs in one
-        # input block would otherwise serialize behind a single task.
-        # The small branch stays a fused read→extract(→ocr) chain; the
-        # big-branch repartition shuffles only the (rare) monster rows.
-        # Size big_blocks ≈ cluster cores so the heavy rows spread.
-        def _route(keep_big: bool):
-            def f(b: pa.Table) -> pa.Table:
-                n = pc.fill_null(pc.list_value_length(b.column("spans")), 0)
-                mask = (
-                    pc.greater(n, skew_threshold)
-                    if keep_big
-                    else pc.less_equal(n, skew_threshold)
-                )
-                return b.filter(mask)
 
-            return f
+        def _write(docs: pa.Table) -> pa.Table:
+            """extract → OCR → writer in the calling task: count rows."""
+            if not docs.num_rows:
+                return _COUNTS.empty_table()
+            out = _extract(docs)
+            if ocr:
+                out = ocr_task(out, engine=ocr_engine, model=ocr_model)
+            return writer(out)
 
-        small = ds.map_batches(_route(False), batch_format="pyarrow")
-        big = ds.map_batches(_route(True), batch_format="pyarrow").repartition(
-            big_blocks
+        def light(batch: pa.Table) -> pa.Table:
+            n = pc.fill_null(pc.list_value_length(batch.column("spans")), 0)
+            big = pc.greater(n, skew_threshold)
+            counts = _write(batch.filter(pc.invert(big)))
+            return pa.concat_tables(
+                [batch.filter(big), counts], promote_options="default"
+            )
+
+        def heavy(batch: pa.Table) -> pa.Table:
+            is_doc = pc.is_null(batch.column("pid"))
+            counts = batch.filter(pc.invert(is_doc)).select(_COUNTS.names)
+            docs = batch.filter(is_doc).drop_columns(_COUNTS.names)
+            return pa.concat_tables([counts.cast(_COUNTS), _write(docs)])
+
+        out = (
+            ds.map_batches(light, batch_format="pyarrow", batch_size=batch_size)
+            .repartition(target_num_rows_per_block=monster_batch_size)
+            .map_batches(heavy, batch_format="pyarrow", batch_size=monster_batch_size)
         )
-        out = _chain(small, batch_size).union(_chain(big, monster_batch_size))
     side = None
     if winners is not None:
         side = extract_batch(winners, lookup, emit_payloads=ocr)
@@ -362,9 +392,8 @@ def build_extract_pipeline(
     as a side file instead of a union.
 
     ``chain_kw``: the extract chain's options (``ocr``, ``ocr_engine``,
-    ``ocr_model``, ``ocr_concurrency``, ``batch_size``, ``skew_threshold``,
-    ``monster_batch_size``, ``big_blocks``, ``metrics``; see
-    ``_extract_chain``).
+    ``ocr_model``, ``ocr_concurrency``, ``batch_size``, ``metrics``; see
+    ``_extract_chain``; its skew routing runs only on the job path).
     """
     winners = None
     if dedup:
@@ -384,13 +413,6 @@ def build_extract_pipeline(
         ds, winners, lookup, ray.put(lookup) if lookup else None, **chain_kw
     )
     return out if side is None else out.union(ray.data.from_arrow(side))
-
-
-# a write task's row per partition it wrote: the manifest's lineage counts
-_COUNTS = pa.schema(
-    (name, pa.int64())
-    for name in ("pid", "docs", "docs_failed", "pages", "decode_failures", "empty_pages")
-)
 
 
 def _metrics_of(t: pa.Table) -> dict:
@@ -473,8 +495,10 @@ def run_partitioned(
     of the jobs lookup. Pending partitions then run in waves of 1, 2, 4, 8,
     … partitions, one Ray Data execution per wave: read → ``is_in`` drop →
     extract → OCR → ``_partition_writer``, whose tasks return the counts
-    of what they wrote. The wave's owned winners are extracted once on the
-    driver and written as ``winners.parquet`` into their owners' temp dirs.
+    of what they wrote (with ``skew_threshold``, the light and heavy
+    stages of ``_extract_chain`` each end in the writer). The wave's owned
+    winners are extracted once on the driver and written as
+    ``winners.parquet`` into their owners' temp dirs.
     A partition commits once its docs reach the expected count (winners
     plus input rows less dup-id rows, from footers and the scan), so one
     holding only duplicates owned elsewhere commits at once, empty. A crash

@@ -62,12 +62,13 @@ def test_pipeline_dedup_exact(ray_session, corpus_files):
     assert out.count() == n_unique
 
 
-def _check_partitioned_matches_union(corpus_files, tmp_path, **kw):
+def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
     """run_partitioned (fused per-partition chain + owned winners as a
-    side file, the job path) is row-identical to build_extract_pipeline's
-    Dataset.union topology at every partition size, with the jobs table,
-    OCR on and cross-partition dups; exactly the partitions that own a
-    duplicated id hold ``winners.parquet``."""
+    side file, the job path; ``job_kw`` go to it alone) is row-identical to
+    build_extract_pipeline's unrouted Dataset.union topology at every
+    partition size, with the jobs table, OCR on and cross-partition dups;
+    exactly the partitions that own a duplicated id hold
+    ``winners.parquet``."""
     import pyarrow.dataset as pads
     import ray.data as rd
 
@@ -85,7 +86,7 @@ def _check_partitioned_matches_union(corpus_files, tmp_path, **kw):
 
     d_union = str(tmp_path / "out_union")
     build_extract_pipeline(
-        rd.read_parquet(paths), jobs, input_files=paths, ocr=True, **kw
+        rd.read_parquet(paths), jobs, input_files=paths, ocr=True
     ).write_parquet(d_union)
     want = rows(d_union)
     assert len(want) == len(set(tbl.column("doc_id").to_pylist()))
@@ -101,7 +102,9 @@ def _check_partitioned_matches_union(corpus_files, tmp_path, **kw):
     assert seen_twice
     for size in (1, 2, len(paths)):
         out_dir = str(tmp_path / f"out_part{size}")
-        res = run_partitioned(paths, out_dir, jobs, partition_size=size, ocr=True, **kw)
+        res = run_partitioned(
+            paths, out_dir, jobs, partition_size=size, ocr=True, **job_kw
+        )
         assert rows(out_dir) == want, size
         owners = {first_file[d] // size for d in seen_twice}
         with_winners = {
@@ -121,8 +124,87 @@ def test_run_partitioned_matches_union_topology_skewed(
 ):
     """The same check with size-bucket routing (200-span monsters routed)."""
     _check_partitioned_matches_union(
-        corpus_files, tmp_path, skew_threshold=100, monster_batch_size=4, big_blocks=4
+        corpus_files, tmp_path, skew_threshold=100, monster_batch_size=4
     )
+
+
+def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
+    """12 monsters contiguous in one file: a routed wave reads once, has
+    no union and no all-to-all repartition (the re-block is a streaming
+    map operator), spreads the monsters over ⌈12/2⌉ heavy tasks (one
+    file each, beside the light docs' file), and its output is
+    oracle-exact."""
+    import re
+
+    import ray.data as rd
+
+    from pdfz_ray.corpus import make_document
+    from pdfz_ray.pipelines import extract_pipeline as ep
+    from pdfz_ray.schema import DOCUMENTS_SCHEMA
+    from pdfz_ray.stages.extract import flatten_output
+
+    normal = [make_document(i) for i in range(80) if i % 11 != 9]
+    monsters = [make_document(i, monster_spans=300) for i in range(9, 140, 11)]
+    assert len(monsters) == 12
+    tbl = pa.Table.from_pylist(
+        normal[:30] + monsters + normal[30:], schema=DOCUMENTS_SCHEMA
+    )
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(tbl, path)
+
+    chains = []
+    real_chain = ep._extract_chain
+
+    def keep_chain(*a, **k):
+        out, side = real_chain(*a, **k)
+        chains.append(out)
+        return out, side
+
+    monkeypatch.setattr(ep, "_extract_chain", keep_chain)
+    out_dir = str(tmp_path / "out")
+    res = ep.run_partitioned(
+        [path], out_dir, dedup=False, skew_threshold=100, monster_batch_size=2
+    )
+
+    flat = rd.read_parquet(res["output_files"]).map_batches(
+        flatten_output, batch_format="pyarrow"
+    )
+    got = sorted(tuple(r.values()) for r in flat.take_all())
+    want = sorted(tuple(r.values()) for r in _oracle_flat(tbl))
+    assert got == want
+
+    (chain,) = chains
+    ops = [
+        op
+        for fused in re.findall(r"^Operator \d+ (.+?):", chain.stats(), re.M)
+        for op in fused.split("->")
+    ]
+    assert ops.count("ReadParquet") == 1, ops
+    assert not [op for op in ops if "Union" in op], ops
+    assert [op for op in ops if "Repartition" in op] == ["StreamingRepartition"], ops
+    (part_dir,) = res["output_dirs"]
+    assert len(os.listdir(part_dir)) >= 12 // 2 + 1
+
+
+def test_skew_routing_rejects_unsupported_combinations(
+    ray_session, corpus_files, tmp_path
+):
+    """Skew routing is a job-path feature with in-task OCR: without a
+    writer, or with an OCR actor pool, it raises a clear ValueError."""
+    import ray.data as rd
+
+    from pdfz_ray.pipelines.extract_pipeline import (
+        build_extract_pipeline,
+        run_partitioned,
+    )
+
+    _, paths = corpus_files
+    with pytest.raises(ValueError, match="job path"):
+        build_extract_pipeline(rd.read_parquet(paths), skew_threshold=100)
+    with pytest.raises(ValueError, match="ocr_concurrency"):
+        run_partitioned(
+            paths, str(tmp_path / "out"), skew_threshold=100, ocr_concurrency=2
+        )
 
 
 def test_resume_of_committed_run_skips_planning(
@@ -468,16 +550,17 @@ def test_live_metrics_mid_run(ray_session, tmp_path):
     assert final["pages"] == sum(r["pages"] for r in rows)
 
 
-def test_skew_bucketed_pipeline_correct(ray_session):
-    """Size-bucket routing (SURVEY §7.1 M4): the split → repartitioned big
-    branch → union topology is byte-identical to the oracle, and the
-    threshold estimator lands between the median and the monster sizes."""
+def test_skew_bucketed_pipeline_correct(ray_session, tmp_path):
+    """Size-bucket routing (SURVEY §7.1 M4): the job path's light stage →
+    streaming re-block → heavy stage is byte-identical to the oracle, and
+    the threshold estimator lands between the median and the monster
+    sizes."""
     import ray.data as rd
 
     from pdfz_ray.corpus import make_document
     from pdfz_ray.pipelines.extract_pipeline import (
-        build_extract_pipeline,
         estimate_span_threshold,
+        run_partitioned,
     )
     from pdfz_ray.schema import DOCUMENTS_SCHEMA
     from pdfz_ray.stages.extract import flatten_output
@@ -491,12 +574,19 @@ def test_skew_bucketed_pipeline_correct(ray_session):
     thr = estimate_span_threshold(rd.from_arrow(skew_tbl), quantile=0.95)
     assert 4 <= thr < 1500  # between median (≈8) and monster (1500) spans
 
-    out = build_extract_pipeline(
-        rd.from_arrow(skew_tbl).repartition(4),
+    per = (skew_tbl.num_rows + 3) // 4
+    paths = []
+    for i in range(4):
+        paths.append(str(tmp_path / f"f{i}.parquet"))
+        pq.write_table(skew_tbl.slice(i * per, per), paths[-1])
+    res = run_partitioned(
+        paths, str(tmp_path / "out"),
         dedup=False, ocr=False,
-        skew_threshold=thr, batch_size=256, monster_batch_size=4, big_blocks=8,
+        skew_threshold=thr, batch_size=256, monster_batch_size=4,
     )
-    flat = out.map_batches(flatten_output, batch_format="pyarrow")
+    flat = rd.read_parquet(res["output_files"]).map_batches(
+        flatten_output, batch_format="pyarrow"
+    )
     got = sorted(tuple(r.values()) for r in flat.take_all())
     want = sorted(tuple(r.values()) for r in _oracle_flat(skew_tbl))
     assert got == want
@@ -507,16 +597,16 @@ def test_skew_throughput_holds(ray_session, tmp_path):
     (clustered at the end, worst case for row-based blocking) keeps ≥0.8
     of the uniform corpus's spans/sec — Ray's byte-based read blocking
     cost-balances blocks because extract cost is ∝ bytes; the routed
-    (skew_threshold) path must hold the same bar."""
+    (skew_threshold) path must hold the same bar. Each leg is a timed
+    ``run_partitioned`` job."""
+    import tempfile
     import time
 
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from pdfz_ray.corpus import make_document
-    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
     from pdfz_ray.schema import DOCUMENTS_SCHEMA
-    from pdfz_ray.stages.extract import flatten_output
 
     normal = [make_document(i) for i in range(1100) if i % 11 != 9]
     mspans = [
@@ -543,16 +633,15 @@ def test_skew_throughput_holds(ray_session, tmp_path):
     su, ss = spans(uni_tbl), spans(skew_tbl)
 
     def run(paths, **kw):
-        ds = rd.read_parquet(paths)
+        out_dir = tempfile.mkdtemp(dir=tmp_path)
         t0 = time.perf_counter()
-        out = build_extract_pipeline(ds, dedup=False, ocr=False, **kw)
-        out.map_batches(flatten_output, batch_format="pyarrow").count()
+        run_partitioned(paths, out_dir, dedup=False, ocr=False, **kw)
         return time.perf_counter() - t0
 
     run(up)  # warm the worker pool
     tu = run(up)
     ts = run(sp)
-    tr = run(sp, skew_threshold=1000, monster_batch_size=2, big_blocks=8)
+    tr = run(sp, skew_threshold=1000, monster_batch_size=2)
     plain_ratio = (ss / ts) / (su / tu)
     routed_ratio = (ss / tr) / (su / tu)
     assert plain_ratio >= 0.8, f"plain skew ratio {plain_ratio:.2f}"
