@@ -40,7 +40,7 @@ def entry() -> Any:
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
     )
     docs = ds.map_batches(interleave_documents, batch_format="pyarrow")
-    out = build_extract_pipeline(docs, dedup=False, ocr=True, ocr_concurrency=2)
+    out = build_extract_pipeline(docs, ocr=True, ocr_concurrency=2)
     return out.map_batches(flatten_output, batch_format="pyarrow")
 
 
@@ -62,8 +62,10 @@ def _q_extract_flat(sf_dir: str):
     from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
     from pdfz_ray.stages.extract import flatten_output
 
-    ds, _ = _fixture_docs(sf_dir)
-    out = build_extract_pipeline(ds, ocr=False)
+    ds, paths = _fixture_docs(sf_dir)
+    out = build_extract_pipeline(
+        ds, input_files=[paths["documents_spans"]], ocr=False
+    )
     return out.map_batches(flatten_output, batch_format="pyarrow")
 
 
@@ -74,7 +76,9 @@ def _q_extract_windowed(sf_dir: str):
 
     ds, paths = _fixture_docs(sf_dir)
     jobs = jobs_table_to_lookup(pq.read_table(paths["jobs"]))
-    out = build_extract_pipeline(ds, jobs, ocr=False)
+    out = build_extract_pipeline(
+        ds, jobs, input_files=[paths["documents_spans"]], ocr=False
+    )
     return out.map_batches(flatten_output, batch_format="pyarrow")
 
 
@@ -83,8 +87,10 @@ def _q_ocr_spans(sf_dir: str):
     reference does then discards (M3)."""
     from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
 
-    ds, _ = _fixture_docs(sf_dir)
-    out = build_extract_pipeline(ds, ocr=True, ocr_concurrency=2)
+    ds, paths = _fixture_docs(sf_dir)
+    out = build_extract_pipeline(
+        ds, input_files=[paths["documents_spans"]], ocr=True, ocr_concurrency=2
+    )
 
     def flatten_media_ocr(batch: pa.Table) -> pa.Table:
         done = batch.filter(pc.equal(batch.column("status"), "done"))

@@ -24,6 +24,11 @@ serves two entry points:
 - ``build_extract_pipeline`` returns a lazy Dataset, so it unions the
   winner rows into the stream.
 
+Both plan exact dedup the same way, from the files they read:
+``scan_duplicates`` over the input files, then ``_winner_rows`` for the
+first copy of each duplicated id. ``build_extract_pipeline`` dedups only
+when given ``input_files``; without them it extracts every row.
+
 Scale notes (the 100 TB design points):
 - exact dedup never shuffles payloads: a column-pruned id scan finds the
   (rare) duplicated ids, which are broadcast as a set and dropped from the
@@ -71,21 +76,6 @@ def dedup_within_batch(batch: pa.Table) -> pa.Table:
     if not dup.any():
         return batch
     return batch.filter(pa.array(~dup))
-
-
-def find_duplicate_ids(ids_ds: "ray.data.Dataset") -> set:
-    """Ids appearing more than once. Pass a *column-pruned* dataset (only
-    ``doc_id``) so at scale this scans one narrow column, not payloads.
-
-    The duplicated-id set is assumed small enough to broadcast (dup rate
-    ≪ 1%); a dup-heavy corpus would keep this distributed as a semi-join.
-    """
-    counts = ids_ds.groupby("doc_id").count()
-    dup = counts.map_batches(
-        lambda t: t.filter(pc.greater(t.column("count()"), 1)).select(["doc_id"]),
-        batch_format="pyarrow",
-    )
-    return {r["doc_id"] for r in dup.take_all()}
 
 
 @ray.remote(num_cpus=1)
@@ -145,36 +135,18 @@ def scan_duplicates(
     return dup_ids, file_dups
 
 
-def _winner_rows(
-    input_files: list[str] | None,
-    ds: "ray.data.Dataset",
-    dup_ids: set,
-) -> pa.Table:
+def _winner_rows(input_files: list[str], dup_ids: set) -> pa.Table:
     """One deterministic winner row per duplicated id: the first occurrence
     in (file order, row order) — the J1 'first to arrive' made reproducible.
 
-    With ``input_files`` this is a targeted parquet read with predicate
-    pushdown (only row groups containing dup ids are materialized); the
-    fallback filters the Dataset (one extra pass, test scale only).
+    A targeted parquet read with predicate pushdown: only row groups
+    containing dup ids are materialized.
     """
-    if input_files is not None:
-        import pyarrow.dataset as pads
+    import pyarrow.dataset as pads
 
-        tbl = pads.dataset(input_files, format="parquet").to_table(
-            filter=pc.field("doc_id").isin(list(dup_ids)), use_threads=True
-        )
-    else:
-        dup_arr = pa.array(sorted(dup_ids), pa.string())
-        dup_ref = ray.put(dup_arr)
-        filtered = ds.map_batches(
-            lambda b: b.filter(
-                pc.is_in(b.column("doc_id"), value_set=ray.get(dup_ref))
-            ),
-            batch_format="pyarrow",
-        )
-        refs = filtered.to_arrow_refs()
-        tables = [t for t in ray.get(refs) if t.num_rows]
-        tbl = pa.concat_tables(tables)  # dup_ids nonempty ⇒ rows exist
+    tbl = pads.dataset(input_files, format="parquet").to_table(
+        filter=pc.field("doc_id").isin(list(dup_ids)), use_threads=True
+    )
     return dedup_within_batch(tbl)
 
 
@@ -376,37 +348,34 @@ def build_extract_pipeline(
     ds: "ray.data.Dataset",
     jobs: pa.Table | dict[str, Job] | None = None,
     *,
-    dedup: bool = True,
     input_files: list[str] | None = None,
     **chain_kw,
 ) -> "ray.data.Dataset":
     """documents Dataset → extraction output Dataset (lazy, streaming).
 
-    With ``dedup``, duplicated doc_ids are found by ``scan_duplicates``
-    over ``input_files`` (the files ``ds`` reads), or by a column-pruned
-    scan of ``ds`` without them; they are dropped from the stream, and
-    their winner rows (first occurrence) are extracted on the driver and
-    unioned in AFTER the extract stage, so the streamed chain stays fused
-    (a pre-extract union costs an extra trip of the whole corpus through
-    the object store — measured). ``run_partitioned`` writes the winners
-    as a side file instead of a union.
+    Exact dedup runs exactly when ``input_files`` (the files ``ds`` reads,
+    in the order that decides which copy arrives first) is given:
+    ``scan_duplicates`` finds the duplicated doc_ids, they are dropped from
+    the stream, and their winner rows (first occurrence in file order, row
+    order) are extracted on the driver and unioned in AFTER the extract
+    stage, so the streamed chain stays fused (a pre-extract union costs an
+    extra trip of the whole corpus through the object store — measured).
+    Without ``input_files`` every row of ``ds`` is extracted.
+    ``run_partitioned`` writes the winners as a side file instead of a
+    union.
 
     ``chain_kw``: the extract chain's options (``ocr``, ``ocr_engine``,
     ``ocr_model``, ``ocr_concurrency``, ``batch_size``, ``metrics``; see
     ``_extract_chain``; its skew routing runs only on the job path).
     """
     winners = None
-    if dedup:
-        if input_files is not None:
-            # distributed narrow id-hash scan straight off the files
-            dup_ids, file_dups = scan_duplicates(input_files)
+    if input_files is not None:
+        dup_ids, file_dups = scan_duplicates(input_files)
+        if dup_ids:
             # keep the caller's file order (not lexicographic) so the
             # winner is the true first occurrence in file order
-            input_files = [f for f in input_files if f in file_dups]
-        else:
-            dup_ids = find_duplicate_ids(ds.select_columns(["doc_id"]))
-        if dup_ids:
-            winners = _winner_rows(input_files, ds, dup_ids)
+            dup_files = [f for f in input_files if f in file_dups]
+            winners = _winner_rows(dup_files, dup_ids)
             ds = _drop_ids(ds, dup_ids)
     lookup = jobs if isinstance(jobs, dict) else jobs_table_to_lookup(jobs)
     out, side = _extract_chain(
@@ -510,7 +479,12 @@ def run_partitioned(
     index in this run), ``wall_s`` (the wave's wall time up to this
     partition's commit) and ``files_md5``. Each wave logs one DEBUG record
     on the ``pdfz_ray`` logger. ``chain_kw``: see ``_extract_chain``.
+
+    The returned ``output_dirs`` and ``output_files`` are those of this
+    run's chunking only: a manifest row committed under another
+    ``partition_size`` or input list is not listed.
     """
+    import glob
     import hashlib
 
     import pyarrow.parquet as pq
@@ -562,7 +536,7 @@ def run_partitioned(
         if drop:
             ds = _drop_ids(ds, drop)
         dup_files = [f for f in files if f in file_dups]
-        winners = _winner_rows(dup_files, None, owned) if owned else None
+        winners = _winner_rows(dup_files, owned) if owned else None
         out, side = _extract_chain(
             ds, winners, lookup, jobs_ref,
             writer=_partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
@@ -620,13 +594,16 @@ def run_partitioned(
             k, [pid for pid, _ in wave], len(files), len(drop), len(owned),
             time.perf_counter() - t0,
         )
+    dirs = [manifest.partition_dir(pid) for pid, _ in chunks]
     return {
         "out_dir": out_dir,
         "partitions_run": [pid for pid, _ in pending],
         "partitions_skipped": [pid for pid, _ in chunks if pid in done],
         "manifest": manifest.path,
-        "output_dirs": manifest.output_dirs(),
-        "output_files": manifest.output_files(),
+        "output_dirs": dirs,
+        "output_files": [
+            f for d in dirs for f in sorted(glob.glob(os.path.join(d, "*.parquet")))
+        ],
     }
 
 

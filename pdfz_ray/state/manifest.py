@@ -88,15 +88,3 @@ class Manifest:
                     f.seek(0)
                     f.truncate(f.read().rfind(b"\n") + 1)
             f.write((json.dumps(row) + "\n").encode())
-
-    def output_dirs(self) -> list[str]:
-        return [self.partition_dir(pid) for pid in sorted(self.completed())]
-
-    def output_files(self) -> list[str]:
-        """All committed parquet files (ray.data.read_parquet-ready)."""
-        import glob
-
-        files: list[str] = []
-        for d in self.output_dirs():
-            files.extend(sorted(glob.glob(os.path.join(d, "*.parquet"))))
-        return files

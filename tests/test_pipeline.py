@@ -37,7 +37,7 @@ def test_pipeline_matches_oracle(ray_session, corpus_files):
     tbl, paths = corpus_files
     jobs = jobs_table_to_lookup(make_jobs(120))
     ds = rd.read_parquet(paths)
-    out = build_extract_pipeline(ds, jobs, ocr_concurrency=2)
+    out = build_extract_pipeline(ds, jobs, input_files=paths, ocr_concurrency=2)
     flat = out.map_batches(flatten_output, batch_format="pyarrow")
     got = sorted(
         (tuple(r.values()) for r in flat.take_all()),
@@ -51,15 +51,19 @@ def test_pipeline_matches_oracle(ray_session, corpus_files):
 
 
 def test_pipeline_dedup_exact(ray_session, corpus_files):
+    """Exact dedup runs exactly when the input files are given: one row
+    per distinct doc_id with them, one per input row without."""
     import ray.data as rd
 
     from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
 
     tbl, paths = corpus_files
     n_unique = len(set(tbl.column("doc_id").to_pylist()))
+    n_rows = sum(pq.read_metadata(p).num_rows for p in paths)
+    assert n_unique < n_rows
     ds = rd.read_parquet(paths)
-    out = build_extract_pipeline(ds, ocr=False)
-    assert out.count() == n_unique
+    assert build_extract_pipeline(ds, input_files=paths, ocr=False).count() == n_unique
+    assert build_extract_pipeline(ds, ocr=False).count() == n_rows
 
 
 def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
@@ -113,6 +117,67 @@ def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
             if os.path.exists(os.path.join(d, "winners.parquet"))
         }
         assert with_winners == owners, size
+
+
+def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path):
+    """Copies of a doc_id that differ in their spans: both entry points
+    keep the earliest copy in (caller file order, row order) — files
+    passed as z, a, m, not lexicographically, with a repeat inside a file
+    — and equal the oracle over the rows in that order."""
+    import ray.data as rd
+
+    from pdfz_ray.corpus import make_document
+    from pdfz_ray.pipelines.extract_pipeline import (
+        build_extract_pipeline,
+        run_partitioned,
+    )
+    from pdfz_ray.schema import DOCUMENTS_SCHEMA
+    from pdfz_ray.stages.extract import flatten_output
+
+    def doc(i, doc_id=None):
+        d = make_document(i, monster_spans=50)
+        return {**d, "doc_id": doc_id or d["doc_id"]}
+
+    # doc-x: twice in z, then a, then m; doc-y: twice in a, then m
+    x, y = "doc-x", "doc-y"
+    files = {
+        "z": [doc(i) for i in range(6)] + [doc(99, x), doc(6), doc(100, x)],
+        "a": [doc(102, x), doc(10), doc(109, y), doc(11), doc(110, y)],
+        "m": [doc(111, y), doc(113, x), doc(20)],
+    }
+    copies = [r for rows in files.values() for r in rows if r["doc_id"] in (x, y)]
+    flats = [
+        str(_oracle_flat(pa.Table.from_pylist([r], schema=DOCUMENTS_SCHEMA)))
+        for r in copies
+    ]
+    # every copy extracts to different non-empty rows: the winner is visible
+    assert len(set(flats)) == len(copies) and "[]" not in flats
+
+    def oracle(names):
+        rows = [r for n in names for r in files[n]]
+        tbl = pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
+        return sorted(tuple(r.values()) for r in _oracle_flat(tbl))
+
+    order = ["z", "a", "m"]
+    paths = []
+    for n in order:
+        paths.append(str(tmp_path / f"{n}.parquet"))
+        tbl = pa.Table.from_pylist(files[n], schema=DOCUMENTS_SCHEMA)
+        pq.write_table(tbl, paths[-1])
+    want = oracle(order)
+    assert want != oracle(sorted(order))
+
+    def flat(ds):
+        out = ds.map_batches(flatten_output, batch_format="pyarrow")
+        return sorted(tuple(r.values()) for r in out.take_all())
+
+    ds = rd.read_parquet(paths)
+    assert flat(build_extract_pipeline(ds, input_files=paths, ocr=False)) == want
+    for size in (1, 2):
+        res = run_partitioned(
+            paths, str(tmp_path / f"out{size}"), partition_size=size, ocr=False
+        )
+        assert flat(rd.read_parquet(res["output_files"])) == want, size
 
 
 def test_run_partitioned_matches_union_topology(ray_session, corpus_files, tmp_path):
@@ -471,8 +536,13 @@ def test_wave_plan_is_logged(ray_session, corpus_files, tmp_path, caplog):
 def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
     """A manifest 'done' pid is honored only when it still maps to the same
     file chunk — resuming with a different partition_size re-runs instead of
-    silently skipping pids that now cover different files (ADVICE r1)."""
+    silently skipping pids that now cover different files (ADVICE r1). A
+    move to fewer, larger partitions lists only the new chunking's
+    partitions, not the committed pids it no longer has."""
+    import ray.data as rd
+
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+    from pdfz_ray.stages.extract import flatten_output
 
     tbl, paths = corpus_files
     out_dir = str(tmp_path / "out_chunk")
@@ -487,6 +557,20 @@ def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
     res3 = run_partitioned(paths, out_dir, partition_size=1, ocr=False)
     assert res3["partitions_skipped"] == []
     assert res3["partitions_run"] == [0, 1, 2, 3]
+
+    # back to partition_size=2: pids 2 and 3 stay committed in the
+    # manifest but are no longer partitions of this run
+    res4 = run_partitioned(paths, out_dir, partition_size=2, ocr=False)
+    assert res4["partitions_run"] == [0, 1]
+    assert [os.path.basename(d) for d in res4["output_dirs"]] == [
+        "part-00000", "part-00001"
+    ]
+    out = rd.read_parquet(res4["output_files"])
+    ids = [r["doc_id"] for r in out.select_columns(["doc_id"]).take_all()]
+    assert len(ids) == len(set(ids))
+    flat = out.map_batches(flatten_output, batch_format="pyarrow")
+    got = sorted(tuple(r.values()) for r in flat.take_all())
+    assert got == sorted(tuple(r.values()) for r in _oracle_flat(tbl))
 
 
 def test_live_metrics_mid_run(ray_session, tmp_path):
@@ -715,7 +799,7 @@ def test_interleave_ingest(ray_session):
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
     )
     docs = ds.map_batches(interleave_documents, batch_format="pyarrow")
-    out = build_extract_pipeline(docs, dedup=False, ocr=False)
+    out = build_extract_pipeline(docs, ocr=False)
     n_in = ds.count()
     assert out.count() == n_in
     sample = out.take(3)
@@ -769,7 +853,7 @@ def test_pipeline_survives_transient_task_failures(ray_session, tmp_path):
     ds = rd.read_parquet(paths).map_batches(
         flaky, batch_format="pyarrow", retry_exceptions=True, max_retries=4
     )
-    out = build_extract_pipeline(ds, ocr=False)
+    out = build_extract_pipeline(ds, input_files=paths, ocr=False)
     flat = out.map_batches(flatten_output, batch_format="pyarrow")
     got = sorted(tuple(r.values()) for r in flat.take_all())
     want = sorted(tuple(r.values()) for r in _oracle_flat(tbl))
