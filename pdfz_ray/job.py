@@ -35,7 +35,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--engine", default="tesseract")
     p.add_argument("--model", default=None)
     p.add_argument("--no-ocr", action="store_true")
-    p.add_argument("--no-dedup", action="store_true")
     p.add_argument("--no-resume", action="store_true",
                    help="reprocess committed partitions")
     p.add_argument("--batch-size", type=int, default=2048)
@@ -47,7 +46,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--skew-threshold", type=int, default=None,
                    help="extract docs with more spans than this in a "
                         "second stage, re-blocked into small batches after "
-                        "the read task (see estimate_span_threshold)")
+                        "the read task (pick it above the corpus's typical "
+                        "span count and below its monster docs)")
     p.add_argument("--mode", choices=["extract", "curate"], default="extract",
                    help="extract = the flagship span pipeline; curate = "
                         "write packed training shards of the curated corpus")
@@ -106,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
             jobs,
             partition_size=args.partition_size,
             resume=not args.no_resume,
-            dedup=not args.no_dedup,
             ocr=not args.no_ocr,
             ocr_engine=args.engine,
             ocr_model=args.model,

@@ -6,23 +6,26 @@ the streaming executor's backpressured block scheduling; Redis
 status/progress becomes lineage columns + the per-partition manifest; the
 per-doc JSON files become one partitioned Parquet dataset.
 
-One extract chain (``_extract_chain``: extract → OCR, per-batch
-progress, and on the job path optional skew routing, which extracts the
-docs above a span threshold in a second stage after a streaming re-block)
-serves two entry points:
+Each entry point builds its own extract chain; the two share the
+per-batch extract UDF (``_extractor``: extract, one metrics flush per
+batch, the carried ``path`` column) and the driver-side extraction of
+the dedup winners (``_extract_winners``):
 
 - ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
   once per run: one dup scan assigns each duplicated doc_id an owner
-  partition and one ``ray.put`` broadcasts the jobs lookup. It then runs
-  the pending partitions in doubling waves (1, 2, 4, … partitions), one
-  fused read → drop-dups → extract → OCR → write execution per wave; the
-  writer splits each batch by partition into the partitions' temp dirs
-  and returns the manifest counts, and each wave's owned dedup winners
-  are extracted on the driver and written beside that output as
-  ``winners.parquet``, so they share the partition's atomic commit and
-  never pass through a ``Dataset.union``;
-- ``build_extract_pipeline`` returns a lazy Dataset, so it unions the
-  winner rows into the stream.
+  partition and gives every file's row count, and one ``ray.put``
+  broadcasts the jobs lookup. It then runs the pending partitions in
+  doubling waves (1, 2, 4, … partitions), one fused read → drop-dups →
+  extract → OCR → write execution per wave (``_wave_chain``: extract,
+  OCR and the partition writer are one UDF); the writer splits each
+  batch by partition into the partitions' temp dirs and returns the
+  manifest counts, and each wave's owned dedup winners are extracted on
+  the driver and written beside that output as ``winners.parquet``, so
+  they share the partition's atomic commit and never pass through a
+  ``Dataset.union``;
+- ``build_extract_pipeline`` returns a lazy Dataset: extract → OCR (as
+  tasks, or in an actor pool) with the winner rows unioned into the
+  stream.
 
 Both plan exact dedup the same way, from the files they read:
 ``scan_duplicates`` over the input files, then ``_winner_rows`` for the
@@ -36,10 +39,11 @@ Scale notes (the 100 TB design points):
   pushdown read;
 - the jobs table is broadcast once via ``ray.put`` and read per task,
   never re-shipped per batch;
-- the OCR stage can run as an actor pool sized independently of the parse
-  stage so a slow model can't idle the cheap extract tasks (the
-  reference's shared single Ollama is exactly this bottleneck,
-  docker-compose.yml:86-98);
+- ``build_extract_pipeline``'s OCR stage can run as an actor pool sized
+  independently of the parse stage so a slow model can't idle the cheap
+  extract tasks (the reference's shared single Ollama is exactly this
+  bottleneck, docker-compose.yml:86-98); the job path runs OCR in the
+  extract task with a per-worker engine cache;
 - output is committed per input partition (atomic rename + manifest line)
   as soon as its rows are written, so a resumed run skips finished
   partitions exactly and a crash loses at most one wave.
@@ -90,9 +94,9 @@ def _file_id_hashes(path: str) -> "np.ndarray":
 
 def scan_duplicates(
     input_files: list[str],
-) -> tuple[set, dict[str, dict[str, int]]]:
-    """(dup_ids, per file holding one: {dup id: its rows in that file}) via
-    a distributed narrow scan.
+) -> tuple[set, dict[str, dict[str, int]], dict[str, int]]:
+    """(dup_ids, per file holding one: {dup id: its rows in that file},
+    per file: its row count) via a distributed narrow scan.
 
     One raw Ray task per file reads ONLY the doc_id column and returns
     uint64 hashes (8 bytes/row — a Dataset string groupby here cost 10×
@@ -102,17 +106,19 @@ def scan_duplicates(
     driver-side merge of per-file sketches, which the Dataset API would
     express as a far costlier global shuffle. Scale path beyond ~10^9 rows
     per run: tree-merge the per-file hash arrays in tasks instead of
-    concatenating on the driver.
+    concatenating on the driver. A file's row count is the length of its
+    hash array, so it costs no footer read.
     """
     from collections import Counter
 
     import pyarrow.parquet as pq
 
     hashes = ray.get([_file_id_hashes.remote(f) for f in input_files])
+    rows = {f: len(h) for f, h in zip(input_files, hashes)}
     all_h = np.sort(np.concatenate(hashes)) if hashes else np.zeros(0, np.uint64)
     dup_h = np.unique(all_h[1:][all_h[1:] == all_h[:-1]])
     if len(dup_h) == 0:
-        return set(), {}
+        return set(), {}, rows
     # exact resolution: count candidate id strings in the touched files
     cnt: Counter = Counter()
     file_candidates: dict[str, Counter] = {}
@@ -132,7 +138,7 @@ def scan_duplicates(
         for f, cands in file_candidates.items()
         if (held := {s: c for s, c in cands.items() if s in dup_ids})
     }
-    return dup_ids, file_dups
+    return dup_ids, file_dups, rows
 
 
 def _winner_rows(input_files: list[str], dup_ids: set) -> pa.Table:
@@ -163,32 +169,6 @@ def _drop_ids(ds: "ray.data.Dataset", ids: set) -> "ray.data.Dataset":
     return ds.map_batches(drop, batch_format="pyarrow")
 
 
-def estimate_span_threshold(
-    ds: "ray.data.Dataset", quantile: float = 0.99, sample_rows: int = 20_000
-) -> int:
-    """Span-count quantile from a bounded sample (narrow limit read) — the
-    routing threshold for ``skew_threshold`` (SURVEY §7.1 M4 / §4 skew)."""
-    sample = ds.limit(sample_rows).map_batches(
-        lambda b: pa.Table.from_arrays(
-            [
-                pc.cast(
-                    pc.fill_null(pc.list_value_length(b.column("spans")), 0),
-                    pa.int64(),
-                )
-            ],
-            names=["n"],
-        ),
-        batch_format="pyarrow",
-    )
-    ns = np.array([r["n"] for r in sample.take_all()], np.int64)
-    if len(ns) == 0:
-        return 0
-    # 'lower' keeps the threshold below the monster sizes even when the
-    # monster fraction is near (1 - quantile); pick quantile safely under
-    # 1 - monster_fraction for routing to engage
-    return int(np.quantile(ns, quantile, method="lower"))
-
-
 def _report_metrics(out: pa.Table, metrics: str | None) -> None:
     # one fire-and-forget flush per BATCH (pre-aggregated), never per
     # row/page — SURVEY §4 progress row
@@ -209,74 +189,15 @@ _COUNTS = pa.schema(
 )
 
 
-def _extract_chain(
-    ds: "ray.data.Dataset",
-    winners: pa.Table | None,
-    lookup: dict[str, Job],
-    jobs_ref: "ray.ObjectRef | None",
-    *,
-    ocr: bool = True,
-    ocr_engine: str = "tesseract",
-    ocr_model: str | None = None,
-    ocr_concurrency=None,
-    batch_size: int = 1024,
-    skew_threshold: int | None = None,
-    monster_batch_size: int = 16,
-    metrics: str | None = None,
-    writer=None,
-) -> tuple["ray.data.Dataset", pa.Table | None]:
-    """(streamed extract(→OCR) of ``ds``, the same done to ``winners`` on
-    the driver — None without winners).
+def _extractor(jobs_ref: "ray.ObjectRef | None", ocr: bool, metrics: str | None):
+    """Extract UDF of both chains. ``jobs_ref`` is ``ray.put(lookup)``
+    (None for an empty lookup), made once by the caller and read per task;
+    a ``path`` column (each row's source file) rides along. ``metrics``:
+    name of a live MetricsActor (state/metrics.py), sent ONE
+    fire-and-forget counter call per batch, pollable mid-run via
+    ``live_progress`` (the reference polled per-page Redis writes, G2)."""
 
-    A ``path`` column of ``ds`` (the source file of each row) rides along
-    through extract and OCR. ``writer`` (a ``_partition_writer``) ends
-    the stream, fused into its last map task; the stream then carries only
-    the writer's ``_COUNTS`` rows.
-
-    ``jobs_ref`` is ``ray.put(lookup)`` (None for an empty lookup), made
-    once by the caller and read per task.
-
-    ``metrics``: name of a live MetricsActor (state/metrics.py) — the
-    extract stage then flushes ONE fire-and-forget counter call per batch
-    (docs/pages/failures), pollable mid-run via ``live_progress``. The
-    reference polled per-page Redis writes for the same surface (G2).
-
-    ``ocr_concurrency``: None (default) runs the engine as *stateless
-    tasks* with a per-worker engine cache — right when the engine is cheap
-    relative to a CPU reservation (Ray fuses the whole chain into the
-    actor pool otherwise, capping pipeline parallelism at the pool size).
-    An int/tuple creates a dedicated actor pool — right for heavy models
-    that need exclusive resources (GPUs, big weights); size it knowing the
-    upstream map fuses in.
-
-    ``skew_threshold`` (size-bucket routing, SURVEY §7.1 M4; needs
-    ``writer`` and in-task OCR): the chain becomes light stage →
-    streaming re-block → heavy stage. The light stage, one map task fused
-    with the upstream drop filter, extracts, OCRs and writes the docs of
-    at most ``skew_threshold`` spans and passes the heavier docs on
-    unextracted. The re-block cuts its output into blocks of
-    ``monster_batch_size`` rows — a map operator, not an all-to-all
-    barrier — so c monsters in one read block spread over
-    ⌈c / ``monster_batch_size``⌉ heavy tasks (Ray's task granularity is
-    the block: ``batch_size`` does not split a block across tasks).
-    The heavy stage extracts, OCRs and writes those docs and passes the
-    light stage's count rows through: between the stages a row is either
-    a count row (``pid`` set) or a heavy doc (``pid`` null). See
-    ``estimate_span_threshold``.
-    """
-    if skew_threshold is not None and writer is None:
-        raise ValueError(
-            "skew_threshold routes docs only on the job path (run_partitioned): "
-            "without a writer the re-block would cut the light output into "
-            "blocks of monster_batch_size rows"
-        )
-    if skew_threshold is not None and ocr_concurrency is not None:
-        raise ValueError(
-            "skew_threshold runs OCR inside the light and heavy stages' tasks; "
-            "it cannot be combined with an ocr_concurrency actor pool"
-        )
-
-    def _extract(batch: pa.Table) -> pa.Table:
+    def extract(batch: pa.Table) -> pa.Table:
         j = ray.get(jobs_ref) if jobs_ref is not None else {}
         out = extract_batch(batch, j, emit_payloads=ocr)
         _report_metrics(out, metrics)
@@ -284,64 +205,20 @@ def _extract_chain(
             out = out.append_column("path", batch.column("path"))
         return out
 
-    if skew_threshold is None:
-        out = ds.map_batches(_extract, batch_format="pyarrow", batch_size=batch_size)
-        if ocr:
-            if ocr_concurrency is None:
-                out = out.map_batches(
-                    ocr_task,
-                    fn_kwargs={"engine": ocr_engine, "model": ocr_model},
-                    batch_format="pyarrow",
-                    batch_size=batch_size,
-                )
-            else:
-                out = out.map_batches(
-                    OcrStage,
-                    fn_constructor_kwargs={"engine": ocr_engine, "model": ocr_model},
-                    batch_format="pyarrow",
-                    batch_size=batch_size,
-                    concurrency=ocr_concurrency,
-                    num_cpus=1,
-                )
-        if writer is not None:
-            out = out.map_batches(writer, batch_format="pyarrow")
-    else:
+    return extract
 
-        def _write(docs: pa.Table) -> pa.Table:
-            """extract → OCR → writer in the calling task: count rows."""
-            if not docs.num_rows:
-                return _COUNTS.empty_table()
-            out = _extract(docs)
-            if ocr:
-                out = ocr_task(out, engine=ocr_engine, model=ocr_model)
-            return writer(out)
 
-        def light(batch: pa.Table) -> pa.Table:
-            n = pc.fill_null(pc.list_value_length(batch.column("spans")), 0)
-            big = pc.greater(n, skew_threshold)
-            counts = _write(batch.filter(pc.invert(big)))
-            return pa.concat_tables(
-                [batch.filter(big), counts], promote_options="default"
-            )
-
-        def heavy(batch: pa.Table) -> pa.Table:
-            is_doc = pc.is_null(batch.column("pid"))
-            counts = batch.filter(pc.invert(is_doc)).select(_COUNTS.names)
-            docs = batch.filter(is_doc).drop_columns(_COUNTS.names)
-            return pa.concat_tables([counts.cast(_COUNTS), _write(docs)])
-
-        out = (
-            ds.map_batches(light, batch_format="pyarrow", batch_size=batch_size)
-            .repartition(target_num_rows_per_block=monster_batch_size)
-            .map_batches(heavy, batch_format="pyarrow", batch_size=monster_batch_size)
-        )
-    side = None
-    if winners is not None:
-        side = extract_batch(winners, lookup, emit_payloads=ocr)
-        if ocr:
-            side = ocr_task(side, engine=ocr_engine, model=ocr_model)
-        _report_metrics(side, metrics)  # winner rows bypass the streamed stage
-    return out, side
+def _extract_winners(
+    winners: pa.Table, lookup: dict[str, Job], ocr: bool, ocr_engine: str,
+    ocr_model: str | None, metrics: str | None,
+) -> pa.Table:
+    """The dedup winner rows extracted (→ OCR) on the driver; they bypass
+    the streamed chain, so their metrics are flushed here."""
+    side = extract_batch(winners, lookup, emit_payloads=ocr)
+    if ocr:
+        side = ocr_task(side, engine=ocr_engine, model=ocr_model)
+    _report_metrics(side, metrics)
+    return side
 
 
 def build_extract_pipeline(
@@ -349,9 +226,15 @@ def build_extract_pipeline(
     jobs: pa.Table | dict[str, Job] | None = None,
     *,
     input_files: list[str] | None = None,
-    **chain_kw,
+    ocr: bool = True,
+    ocr_engine: str = "tesseract",
+    ocr_model: str | None = None,
+    ocr_concurrency=None,
+    batch_size: int = 1024,
+    metrics: str | None = None,
 ) -> "ray.data.Dataset":
-    """documents Dataset → extraction output Dataset (lazy, streaming).
+    """documents Dataset → extraction output Dataset (lazy, streaming):
+    extract → OCR, then the dedup winners unioned in.
 
     Exact dedup runs exactly when ``input_files`` (the files ``ds`` reads,
     in the order that decides which copy arrives first) is given:
@@ -364,13 +247,17 @@ def build_extract_pipeline(
     ``run_partitioned`` writes the winners as a side file instead of a
     union.
 
-    ``chain_kw``: the extract chain's options (``ocr``, ``ocr_engine``,
-    ``ocr_model``, ``ocr_concurrency``, ``batch_size``, ``metrics``; see
-    ``_extract_chain``; its skew routing runs only on the job path).
+    ``ocr_concurrency``: None (default) runs the engine as *stateless
+    tasks* with a per-worker engine cache — right when the engine is cheap
+    relative to a CPU reservation (Ray fuses the whole chain into the
+    actor pool otherwise, capping pipeline parallelism at the pool size).
+    An int/tuple creates a dedicated actor pool — right for heavy models
+    that need exclusive resources (GPUs, big weights); size it knowing the
+    upstream map fuses in. ``metrics``: see ``_extractor``.
     """
     winners = None
     if input_files is not None:
-        dup_ids, file_dups = scan_duplicates(input_files)
+        dup_ids, file_dups, _ = scan_duplicates(input_files)
         if dup_ids:
             # keep the caller's file order (not lexicographic) so the
             # winner is the true first occurrence in file order
@@ -378,10 +265,31 @@ def build_extract_pipeline(
             winners = _winner_rows(dup_files, dup_ids)
             ds = _drop_ids(ds, dup_ids)
     lookup = jobs if isinstance(jobs, dict) else jobs_table_to_lookup(jobs)
-    out, side = _extract_chain(
-        ds, winners, lookup, ray.put(lookup) if lookup else None, **chain_kw
+    out = ds.map_batches(
+        _extractor(ray.put(lookup) if lookup else None, ocr, metrics),
+        batch_format="pyarrow",
+        batch_size=batch_size,
     )
-    return out if side is None else out.union(ray.data.from_arrow(side))
+    if ocr and ocr_concurrency is None:
+        out = out.map_batches(
+            ocr_task,
+            fn_kwargs={"engine": ocr_engine, "model": ocr_model},
+            batch_format="pyarrow",
+            batch_size=batch_size,
+        )
+    elif ocr:
+        out = out.map_batches(
+            OcrStage,
+            fn_constructor_kwargs={"engine": ocr_engine, "model": ocr_model},
+            batch_format="pyarrow",
+            batch_size=batch_size,
+            concurrency=ocr_concurrency,
+            num_cpus=1,
+        )
+    if winners is None:
+        return out
+    side = _extract_winners(winners, lookup, ocr, ocr_engine, ocr_model, metrics)
+    return out.union(ray.data.from_arrow(side))
 
 
 def _metrics_of(t: pa.Table) -> dict:
@@ -431,6 +339,63 @@ def _partition_writer(file_pid: dict[str, int], dirs: dict[int, str]):
     return write
 
 
+def _wave_chain(
+    ds: "ray.data.Dataset", writer, jobs_ref: "ray.ObjectRef | None", *,
+    ocr: bool, ocr_engine: str, ocr_model: str | None, batch_size: int,
+    skew_threshold: int | None, monster_batch_size: int, metrics: str | None,
+) -> "ray.data.Dataset":
+    """A wave's execution: ``ds`` (rows with their ``path``) → the
+    ``_COUNTS`` rows of what ``writer`` (a ``_partition_writer``) wrote.
+
+    One UDF, ``write``, runs extract (``_extractor``) → OCR (``ocr_task``,
+    the engine cached per worker) → ``writer`` in the calling task; an
+    unrouted wave is one ``map_batches`` of it.
+
+    ``skew_threshold`` (size-bucket routing, SURVEY §7.1 M4): the chain
+    becomes light stage → streaming re-block → heavy stage. The light
+    stage, one map task fused with the upstream drop filter, writes the
+    docs of at most ``skew_threshold`` spans and passes the heavier docs
+    on unextracted. The re-block cuts its output into blocks of
+    ``monster_batch_size`` rows — a map operator, not an all-to-all
+    barrier — so c monsters in one read block spread over
+    ⌈c / ``monster_batch_size``⌉ heavy tasks (Ray's task granularity is
+    the block: ``batch_size`` does not split a block across tasks).
+    The heavy stage writes those docs and passes the light stage's count
+    rows through: between the stages a row is either a count row (``pid``
+    set) or a heavy doc (``pid`` null).
+    """
+    extract = _extractor(jobs_ref, ocr, metrics)
+
+    def write(docs: pa.Table) -> pa.Table:
+        if not docs.num_rows:
+            return _COUNTS.empty_table()
+        out = extract(docs)
+        if ocr:
+            out = ocr_task(out, engine=ocr_engine, model=ocr_model)
+        return writer(out)
+
+    if skew_threshold is None:
+        return ds.map_batches(write, batch_format="pyarrow", batch_size=batch_size)
+
+    def light(batch: pa.Table) -> pa.Table:
+        n = pc.fill_null(pc.list_value_length(batch.column("spans")), 0)
+        big = pc.greater(n, skew_threshold)
+        counts = write(batch.filter(pc.invert(big)))
+        return pa.concat_tables([batch.filter(big), counts], promote_options="default")
+
+    def heavy(batch: pa.Table) -> pa.Table:
+        is_doc = pc.is_null(batch.column("pid"))
+        counts = batch.filter(pc.invert(is_doc)).select(_COUNTS.names)
+        docs = batch.filter(is_doc).drop_columns(_COUNTS.names)
+        return pa.concat_tables([counts.cast(_COUNTS), write(docs)])
+
+    return (
+        ds.map_batches(light, batch_format="pyarrow", batch_size=batch_size)
+        .repartition(target_num_rows_per_block=monster_batch_size)
+        .map_batches(heavy, batch_format="pyarrow", batch_size=monster_batch_size)
+    )
+
+
 def _waves(pending: list) -> list[list]:
     """``pending`` cut, in order, into waves of 1, 2, 4, 8, … items."""
     waves, lo = [], 0
@@ -447,8 +412,13 @@ def run_partitioned(
     *,
     partition_size: int = 8,
     resume: bool = True,
-    dedup: bool = True,
-    **chain_kw,
+    ocr: bool = True,
+    ocr_engine: str = "tesseract",
+    ocr_model: str | None = None,
+    batch_size: int = 1024,
+    skew_threshold: int | None = None,
+    monster_batch_size: int = 16,
+    metrics: str | None = None,
 ) -> dict:
     """Checkpoint-resumable run: input files → partitioned parquet output.
 
@@ -456,33 +426,38 @@ def run_partitioned(
     dir → rename + manifest append) and of resume: resume skips committed
     partitions (the anti-join of input partitions vs the manifest, SURVEY.md
     §4 resume row), and a run with nothing pending returns before any scan
-    or broadcast.
+    or broadcast. A committed partition whose id is past this run's
+    chunking (a resume to fewer, larger partitions) is retired first: a
+    manifest row withdraws its commit, then its output dir is removed, so
+    ``out_dir`` holds each doc once and a later run at the old chunking
+    re-runs it.
 
     The plan is made once per run: one ``scan_duplicates`` (a duplicated
     doc_id is owned by the first partition holding it, which writes its
-    winner row; every partition drops it from its stream) and one broadcast
-    of the jobs lookup. Pending partitions then run in waves of 1, 2, 4, 8,
-    … partitions, one Ray Data execution per wave: read → ``is_in`` drop →
-    extract → OCR → ``_partition_writer``, whose tasks return the counts
-    of what they wrote (with ``skew_threshold``, the light and heavy
-    stages of ``_extract_chain`` each end in the writer). The wave's owned
-    winners are extracted once on the driver and written as
-    ``winners.parquet`` into their owners' temp dirs.
+    winner row; every partition drops it from its stream; and every file's
+    row count) and one broadcast of the jobs lookup. Pending partitions
+    then run in waves of 1, 2, 4, 8, … partitions, one Ray Data execution
+    per wave (``_wave_chain``): read → ``is_in`` drop → one UDF of extract
+    → OCR → ``_partition_writer``, whose tasks return the counts of what
+    they wrote (with ``skew_threshold``, the light and heavy stages each
+    run that UDF). The wave's owned winners are extracted once on the
+    driver and written as ``winners.parquet`` into their owners' temp dirs.
     A partition commits once its docs reach the expected count (winners
-    plus input rows less dup-id rows, from footers and the scan), so one
-    holding only duplicates owned elsewhere commits at once, empty. A crash
-    redoes at most the running wave, never larger than the work committed
-    before it plus one partition.
+    plus input rows less dup-id rows, both from the scan), so one holding
+    only duplicates owned elsewhere commits at once, empty. A crash redoes
+    at most the running wave, never larger than the work committed before
+    it plus one partition.
 
     Manifest rows: the partition's counts (``docs``, ``docs_failed``,
     ``pages``, ``decode_failures``, ``empty_pages``), ``wave`` (0-based
     index in this run), ``wall_s`` (the wave's wall time up to this
     partition's commit) and ``files_md5``. Each wave logs one DEBUG record
-    on the ``pdfz_ray`` logger. ``chain_kw``: see ``_extract_chain``.
+    on the ``pdfz_ray`` logger. OCR runs in the extract task with a
+    per-worker engine cache; ``metrics``: see ``_extractor``;
+    ``skew_threshold`` and ``monster_batch_size``: see ``_wave_chain``.
 
     The returned ``output_dirs`` and ``output_files`` are those of this
-    run's chunking only: a manifest row committed under another
-    ``partition_size`` or input list is not listed.
+    run's chunking.
     """
     import glob
     import hashlib
@@ -502,23 +477,26 @@ def run_partitioned(
         pid: hashlib.md5("\n".join(files).encode()).hexdigest()
         for pid, files in chunks
     }
+    committed = manifest.completed()
+    for pid in sorted(set(committed) - set(chunk_md5)):
+        manifest.retire(pid)
+        del committed[pid]
     done = set()
     if resume:
-        for pid, row in manifest.completed().items():
-            if row.get("files_md5", chunk_md5.get(pid)) == chunk_md5.get(pid):
+        for pid, row in committed.items():
+            if row.get("files_md5", chunk_md5[pid]) == chunk_md5[pid]:
                 done.add(pid)
-    metrics_name = chain_kw.get("metrics")
     metrics_actor = None
-    if metrics_name:
+    if metrics:
         from ..state.metrics import get_metrics_actor
 
-        metrics_actor = get_metrics_actor(metrics_name)
+        metrics_actor = get_metrics_actor(metrics)
         ray.get(metrics_actor.set_gauge.remote(partitions_total=len(chunks)))
         if done:
             ray.get(metrics_actor.report.remote(partitions_done=len(done)))
     pending = [(pid, files) for pid, files in chunks if pid not in done]
     if pending:
-        file_dups = scan_duplicates(input_paths)[1] if dedup else {}
+        _, file_dups, file_rows = scan_duplicates(input_paths)
         owner: dict = {}
         for pid, files in chunks:
             for f in files:
@@ -535,15 +513,16 @@ def run_partitioned(
         ds = ray.data.read_parquet(files, include_paths=True)
         if drop:
             ds = _drop_ids(ds, drop)
-        dup_files = [f for f in files if f in file_dups]
-        winners = _winner_rows(dup_files, owned) if owned else None
-        out, side = _extract_chain(
-            ds, winners, lookup, jobs_ref,
-            writer=_partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
-            **chain_kw,
+        out = _wave_chain(
+            ds, _partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
+            jobs_ref, ocr=ocr, ocr_engine=ocr_engine, ocr_model=ocr_model,
+            batch_size=batch_size, skew_threshold=skew_threshold,
+            monster_batch_size=monster_batch_size, metrics=metrics,
         )
         counts = {pid: dict.fromkeys(_COUNTS.names[1:], 0) for pid in tmp}
-        if side is not None:
+        if owned:
+            winners = _winner_rows([f for f in files if f in file_dups], owned)
+            side = _extract_winners(winners, lookup, ocr, ocr_engine, ocr_model, metrics)
             by_owner = np.array([owner[d] for d in side.column("doc_id").to_pylist()])
             for pid in np.unique(by_owner).tolist():
                 part = side.filter(pa.array(by_owner == pid))
@@ -551,7 +530,7 @@ def run_partitioned(
                 counts[pid] = _metrics_of(part)
         expected = {
             pid: counts[pid]["docs"] + sum(
-                pq.read_metadata(f).num_rows - sum(file_dups.get(f, {}).values())
+                file_rows[f] - sum(file_dups.get(f, {}).values())
                 for f in fs
             )
             for pid, fs in wave

@@ -110,8 +110,9 @@ def make_engine(engine, model: str | None = None):
 
 # per-worker-process engine cache for task-mode OCR: gives once-per-worker
 # setup (the actor-__init__ property) without reserving CPUs for a pool —
-# see the ``ocr_concurrency`` note in pipelines/extract_pipeline._extract_chain
-# for when to prefer tasks vs an actor pool
+# see the ``ocr_concurrency`` note in
+# pipelines/extract_pipeline.build_extract_pipeline for when to prefer tasks
+# vs an actor pool; the job path always runs OCR as a task
 _ENGINE_CACHE: dict[tuple, "OcrStage"] = {}
 
 

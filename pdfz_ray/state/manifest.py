@@ -10,7 +10,9 @@ extractor/src/helper/file_helper.rs:67-73). The rebuild makes it explicit:
   lineage metrics (docs, pages, decode_failures, empty_pages, wall_s);
 - resume = skip partitions already in the manifest (the anti-join of the
   input partition list against the manifest — driver-side, the manifest is
-  tiny even at 10^12 docs because partitions are coarse).
+  tiny even at 10^12 docs because partitions are coarse);
+- a committed partition is withdrawn by a later ``retired`` line, written
+  before its directory is removed.
 
 This gives effectively-exactly-once output on top of Ray's at-least-once
 task retries: a partition directory is only visible once its rename
@@ -35,9 +37,11 @@ class Manifest:
         os.makedirs(out_dir, exist_ok=True)
 
     def completed(self) -> dict[int, dict]:
-        """Committed partitions by id. A final line that does not parse is
-        an append torn by a crash: its partition never committed, so it is
-        skipped (and re-run). A torn line anywhere else still raises."""
+        """Committed partitions by id: those whose last row is ``done`` (a
+        later ``retired`` row withdraws a commit). A final line that does
+        not parse is an append torn by a crash: its partition never
+        committed, so it is skipped (and re-run). A torn line anywhere else
+        still raises."""
         done: dict[int, dict] = {}
         if os.path.exists(self.path):
             with open(self.path) as f:
@@ -49,8 +53,11 @@ class Manifest:
                     if i == len(lines) - 1:
                         break
                     raise
+                pid = int(row["partition_id"])
                 if row.get("status") == "done":
-                    done[int(row["partition_id"])] = row
+                    done[pid] = row
+                else:
+                    done.pop(pid, None)
         return done
 
     def partition_dir(self, pid: int) -> str:
@@ -73,12 +80,20 @@ class Manifest:
         if os.path.exists(final):
             shutil.rmtree(final)  # re-run of an uncommitted partition
         os.rename(self.temp_dir(pid), final)
-        row = {
-            "partition_id": pid,
-            "status": "done",
-            "committed_at": time.time(),
-            **metrics,
-        }
+        self._append(
+            {"partition_id": pid, "status": "done", "committed_at": time.time(), **metrics}
+        )
+
+    def retire(self, pid: int) -> None:
+        """Withdraw a committed partition: a ``retired`` manifest row, then
+        its directory removed. In this order a crash in between leaves an
+        unlisted directory, never a listed partition without its output."""
+        self._append({"partition_id": pid, "status": "retired", "retired_at": time.time()})
+        final = self.partition_dir(pid)
+        if os.path.exists(final):
+            shutil.rmtree(final)
+
+    def _append(self, row: dict) -> None:
         with open(self.path, "ab+") as f:
             if f.seek(0, os.SEEK_END):
                 f.seek(-1, os.SEEK_END)

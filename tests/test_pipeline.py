@@ -66,6 +66,18 @@ def test_pipeline_dedup_exact(ray_session, corpus_files):
     assert build_extract_pipeline(ds, ocr=False).count() == n_rows
 
 
+def test_scan_duplicates_counts_rows(ray_session, corpus_files):
+    """The dup scan returns every file's row count, equal to its parquet
+    footer's, with duplicates present and in its no-duplicates return."""
+    from pdfz_ray.pipelines.extract_pipeline import scan_duplicates
+
+    _, paths = corpus_files
+    for files in (paths, paths[:1]):
+        dup_ids, _, rows = scan_duplicates(files)
+        assert bool(dup_ids) == (files == paths)
+        assert rows == {f: pq.read_metadata(f).num_rows for f in files}
+
+
 def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
     """run_partitioned (fused per-partition chain + owned winners as a
     side file, the job path; ``job_kw`` go to it alone) is row-identical to
@@ -218,18 +230,15 @@ def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
     pq.write_table(tbl, path)
 
     chains = []
-    real_chain = ep._extract_chain
+    real_chain = ep._wave_chain
 
     def keep_chain(*a, **k):
-        out, side = real_chain(*a, **k)
-        chains.append(out)
-        return out, side
+        chains.append(real_chain(*a, **k))
+        return chains[-1]
 
-    monkeypatch.setattr(ep, "_extract_chain", keep_chain)
+    monkeypatch.setattr(ep, "_wave_chain", keep_chain)
     out_dir = str(tmp_path / "out")
-    res = ep.run_partitioned(
-        [path], out_dir, dedup=False, skew_threshold=100, monster_batch_size=2
-    )
+    res = ep.run_partitioned([path], out_dir, skew_threshold=100, monster_batch_size=2)
 
     flat = rd.read_parquet(res["output_files"]).map_batches(
         flatten_output, batch_format="pyarrow"
@@ -254,8 +263,8 @@ def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
 def test_skew_routing_rejects_unsupported_combinations(
     ray_session, corpus_files, tmp_path
 ):
-    """Skew routing is a job-path feature with in-task OCR: without a
-    writer, or with an OCR actor pool, it raises a clear ValueError."""
+    """Skew routing is a job-path option and the job path runs OCR in the
+    extract task: neither entry point takes the other's option."""
     import ray.data as rd
 
     from pdfz_ray.pipelines.extract_pipeline import (
@@ -264,9 +273,9 @@ def test_skew_routing_rejects_unsupported_combinations(
     )
 
     _, paths = corpus_files
-    with pytest.raises(ValueError, match="job path"):
+    with pytest.raises(TypeError, match="skew_threshold"):
         build_extract_pipeline(rd.read_parquet(paths), skew_threshold=100)
-    with pytest.raises(ValueError, match="ocr_concurrency"):
+    with pytest.raises(TypeError, match="ocr_concurrency"):
         run_partitioned(
             paths, str(tmp_path / "out"), skew_threshold=100, ocr_concurrency=2
         )
@@ -345,12 +354,12 @@ def test_run_partitioned_and_resume(ray_session, corpus_files, tmp_path):
 
     tbl, paths = corpus_files
     out_dir = str(tmp_path / "out")
-    res1 = run_partitioned(paths, out_dir, partition_size=2, ocr_concurrency=2)
+    res1 = run_partitioned(paths, out_dir, partition_size=2)
     assert res1["partitions_run"] == [0, 1]
     assert res1["partitions_skipped"] == []
 
     # resume: nothing to do
-    res2 = run_partitioned(paths, out_dir, partition_size=2, ocr_concurrency=2)
+    res2 = run_partitioned(paths, out_dir, partition_size=2)
     assert res2["partitions_run"] == []
     assert res2["partitions_skipped"] == [0, 1]
 
@@ -359,7 +368,7 @@ def test_run_partitioned_and_resume(ray_session, corpus_files, tmp_path):
     lines = open(man).read().strip().splitlines()
     with open(man, "w") as f:
         f.write(lines[0] + "\n")
-    res3 = run_partitioned(paths, out_dir, partition_size=2, ocr_concurrency=2)
+    res3 = run_partitioned(paths, out_dir, partition_size=2)
     assert res3["partitions_run"] == [1]
 
     # final output identical to the oracle — including cross-partition
@@ -458,8 +467,9 @@ def test_partition_writer_is_retry_safe(tmp_path):
 def test_waves_double_and_resume_in_order(ray_session, tmp_path, monkeypatch):
     """Pending partitions run in waves of 1, 2, 4, … partitions, one Ray
     Data execution (read) each; the first partition commits before the
-    second wave is built; a resume runs waves over the pending partitions
-    only and reproduces the fresh run's output row for row."""
+    second wave is built; the driver reads no parquet footer (expected row
+    counts come from the dup scan); a resume runs waves over the pending
+    partitions only and reproduces the fresh run's output row for row."""
     import json
 
     import pyarrow.dataset as pads
@@ -484,11 +494,20 @@ def test_waves_double_and_resume_in_order(ray_session, tmp_path, monkeypatch):
         return real_read(files, **kw)
 
     monkeypatch.setattr(rd, "read_parquet", read)
+    footers = []
+    real_footer = pq.read_metadata
+
+    def footer(*a, **kw):
+        footers.append(a)
+        return real_footer(*a, **kw)
+
+    monkeypatch.setattr(pq, "read_metadata", footer)
     jobs = make_jobs(88)
     res = run_partitioned(paths, out_dir, jobs, partition_size=1, ocr=False)
     assert res["partitions_run"] == list(range(8))
     assert [r[0] for r in reads] == [[0], [1, 2], [3, 4, 5, 6], [7]]
     assert reads[1][1] == {0}
+    assert footers == []
 
     def rows():
         t = pads.dataset(out_dir, format="parquet").to_table()
@@ -537,8 +556,11 @@ def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
     """A manifest 'done' pid is honored only when it still maps to the same
     file chunk — resuming with a different partition_size re-runs instead of
     silently skipping pids that now cover different files (ADVICE r1). A
-    move to fewer, larger partitions lists only the new chunking's
-    partitions, not the committed pids it no longer has."""
+    move to fewer, larger partitions retires the committed pids it no
+    longer has: their output leaves ``out_dir``, which then holds each doc
+    once, and a move back to the finer chunking runs them again."""
+    import glob
+
     import ray.data as rd
 
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
@@ -558,8 +580,18 @@ def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
     assert res3["partitions_skipped"] == []
     assert res3["partitions_run"] == [0, 1, 2, 3]
 
-    # back to partition_size=2: pids 2 and 3 stay committed in the
-    # manifest but are no longer partitions of this run
+    want = sorted(tuple(r.values()) for r in _oracle_flat(tbl))
+
+    def check_out_dir():
+        """Every parquet file under ``out_dir``: each doc once, oracle-exact."""
+        files = glob.glob(os.path.join(out_dir, "**", "*.parquet"), recursive=True)
+        out = pa.concat_tables([pq.read_table(f) for f in files])
+        ids = out.column("doc_id").to_pylist()
+        assert len(ids) == len(set(ids))
+        assert sorted(tuple(r.values()) for r in flatten_output(out).to_pylist()) == want
+
+    # back to partition_size=2: pids 2 and 3 are no longer partitions of
+    # this run, so they are retired
     res4 = run_partitioned(paths, out_dir, partition_size=2, ocr=False)
     assert res4["partitions_run"] == [0, 1]
     assert [os.path.basename(d) for d in res4["output_dirs"]] == [
@@ -570,7 +602,14 @@ def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
     assert len(ids) == len(set(ids))
     flat = out.map_batches(flatten_output, batch_format="pyarrow")
     got = sorted(tuple(r.values()) for r in flat.take_all())
-    assert got == sorted(tuple(r.values()) for r in _oracle_flat(tbl))
+    assert got == want
+    check_out_dir()
+
+    # and back to partition_size=1: the retired pids 2 and 3 run again
+    # (their files match once more, but their commits were withdrawn)
+    res5 = run_partitioned(paths, out_dir, partition_size=1, ocr=False)
+    assert res5["partitions_run"] == [0, 1, 2, 3]
+    check_out_dir()
 
 
 def test_live_metrics_mid_run(ray_session, tmp_path):
@@ -636,16 +675,12 @@ def test_live_metrics_mid_run(ray_session, tmp_path):
 
 def test_skew_bucketed_pipeline_correct(ray_session, tmp_path):
     """Size-bucket routing (SURVEY §7.1 M4): the job path's light stage →
-    streaming re-block → heavy stage is byte-identical to the oracle, and
-    the threshold estimator lands between the median and the monster
-    sizes."""
+    streaming re-block → heavy stage is byte-identical to the oracle, with
+    a threshold between the median (≈8) and the monster (1500) spans."""
     import ray.data as rd
 
     from pdfz_ray.corpus import make_document
-    from pdfz_ray.pipelines.extract_pipeline import (
-        estimate_span_threshold,
-        run_partitioned,
-    )
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
     from pdfz_ray.schema import DOCUMENTS_SCHEMA
     from pdfz_ray.stages.extract import flatten_output
 
@@ -655,9 +690,6 @@ def test_skew_bucketed_pipeline_correct(ray_session, tmp_path):
     ][:5]
     skew_tbl = pa.Table.from_pylist(normal + monsters, schema=DOCUMENTS_SCHEMA)
 
-    thr = estimate_span_threshold(rd.from_arrow(skew_tbl), quantile=0.95)
-    assert 4 <= thr < 1500  # between median (≈8) and monster (1500) spans
-
     per = (skew_tbl.num_rows + 3) // 4
     paths = []
     for i in range(4):
@@ -665,8 +697,7 @@ def test_skew_bucketed_pipeline_correct(ray_session, tmp_path):
         pq.write_table(skew_tbl.slice(i * per, per), paths[-1])
     res = run_partitioned(
         paths, str(tmp_path / "out"),
-        dedup=False, ocr=False,
-        skew_threshold=thr, batch_size=256, monster_batch_size=4,
+        ocr=False, skew_threshold=100, batch_size=256, monster_batch_size=4,
     )
     flat = rd.read_parquet(res["output_files"]).map_batches(
         flatten_output, batch_format="pyarrow"
@@ -719,7 +750,7 @@ def test_skew_throughput_holds(ray_session, tmp_path):
     def run(paths, **kw):
         out_dir = tempfile.mkdtemp(dir=tmp_path)
         t0 = time.perf_counter()
-        run_partitioned(paths, out_dir, dedup=False, ocr=False, **kw)
+        run_partitioned(paths, out_dir, ocr=False, **kw)
         return time.perf_counter() - t0
 
     run(up)  # warm the worker pool
