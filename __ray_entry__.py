@@ -70,12 +70,11 @@ def _q_extract_flat(sf_dir: str):
 
 
 def _q_extract_windowed(sf_dir: str):
-    from pdfz_ray.jobs import jobs_table_to_lookup
     from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
     from pdfz_ray.stages.extract import flatten_output
 
     ds, paths = _fixture_docs(sf_dir)
-    jobs = jobs_table_to_lookup(pq.read_table(paths["jobs"]))
+    jobs = pq.read_table(paths["jobs"])
     out = build_extract_pipeline(
         ds, jobs, input_files=[paths["documents_spans"]], ocr=False
     )

@@ -137,6 +137,25 @@ def extract_corpus(
     return results
 
 
+def jobs_table_to_dict(jobs) -> dict[str, Job]:
+    """The reference ``doc_id -> Job`` lookup of a jobs table (anything with
+    ``to_pylist``), one row at a time; ``jobs.jobs_table_to_lookup`` is its
+    columnar twin. The last row of a repeated doc_id wins; a null or 0
+    start_page is 1, a null page_count 0, a null or "" engine
+    ``DEFAULT_ENGINE``, and a missing column its default."""
+    out: dict[str, Job] = {}
+    if jobs is None:
+        return out
+    for row in jobs.to_pylist():
+        out[row["doc_id"]] = Job(
+            start_page=int(row.get("start_page") or 1),
+            page_count=int(row.get("page_count") or 0),
+            engine=row.get("engine") or DEFAULT_ENGINE,
+            model=row.get("model") or None,
+        )
+    return out
+
+
 def flatten_results(results: list[DocResult]) -> list[dict]:
     """Flattened golden rows (FIXTURES.md §3) for successful docs."""
     flat: list[dict] = []

@@ -14,7 +14,7 @@ the dedup winners (``_extract_winners``):
 - ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
   once per run: one dup scan assigns each duplicated doc_id an owner
   partition and gives every file's row count, and one ``ray.put``
-  broadcasts the jobs lookup. It then runs the pending partitions in
+  broadcasts the jobs lookup table. It then runs the pending partitions in
   doubling waves (1, 2, 4, … partitions), one fused read → drop-dups →
   extract → OCR → write execution per wave (``_wave_chain``: extract,
   OCR and the partition writer are one UDF); the writer splits each
@@ -36,9 +36,16 @@ Scale notes (the 100 TB design points):
 - exact dedup never shuffles payloads: a column-pruned id scan finds the
   (rare) duplicated ids, which are broadcast as a set and dropped from the
   stream by one ``is_in`` filter; their winner rows come from a targeted
-  pushdown read;
-- the jobs table is broadcast once via ``ray.put`` and read per task,
-  never re-shipped per batch;
+  pushdown read. The scan is two levels of tasks (one per 32 files, one
+  per hash bucket) that count ids exactly, so the driver receives row
+  counts and the duplicated ids only — no hash array, no file re-read;
+- the jobs table is normalized once on the driver into one Arrow lookup
+  table (``jobs_table_to_lookup``), broadcast via ``ray.put`` and read
+  back zero-copy per batch, never re-shipped or unpickled into Python
+  objects; a batch resolves its rows with one ``index_in``. Each batch
+  hashes the whole lookup's doc_ids anew: about 15 ms per 2,048-row batch
+  at 10^5 jobs rows and 0.25 s at 10^6, on one core
+  (``scripts/stress.py plan``);
 - ``build_extract_pipeline``'s OCR stage can run as an actor pool sized
   independently of the parse stage so a slow model can't idle the cheap
   extract tasks (the reference's shared single Ollama is exactly this
@@ -82,14 +89,49 @@ def dedup_within_batch(batch: pa.Table) -> pa.Table:
     return batch.filter(pa.array(~dup))
 
 
+# files per scan group task, and scan groups per hash bucket
+_FAN_IN = 32
+
+
 @ray.remote(num_cpus=1)
-def _file_id_hashes(path: str) -> "np.ndarray":
-    """uint64 hashes of one file's doc_id column (a tiny per-file sketch)."""
+def _scan_group(paths: list[str], first: int, n_buckets: int):
+    """(row count of each of ``paths``, then one (doc_id, file) table per
+    hash bucket). ``file`` is a path's index in the scan's input list
+    (``first`` is the first one's); a row's bucket is a process-stable hash
+    of its doc_id modulo ``n_buckets``."""
     import pandas as pd
     import pyarrow.parquet as pq
 
-    ids = pq.read_table(path, columns=["doc_id"]).column("doc_id")
-    return pd.util.hash_array(ids.to_numpy(zero_copy_only=False))
+    ids = [pq.ParquetFile(p).read(columns=["doc_id"], use_threads=False) for p in paths]
+    rows = [t.num_rows for t in ids]
+    tagged = pa.table({
+        "doc_id": pa.chunked_array(
+            [t.column("doc_id") for t in ids], pa.string()
+        ).combine_chunks(),
+        "file": np.repeat(np.arange(first, first + len(paths), dtype=np.int32), rows),
+    })
+    if n_buckets == 1:
+        return rows, tagged
+    bucket = pd.util.hash_array(
+        tagged.column("doc_id").to_numpy(zero_copy_only=False)
+    ) % np.uint64(n_buckets)
+    order = np.argsort(bucket, kind="stable")
+    cuts = np.searchsorted(bucket[order], np.arange(n_buckets + 1))
+    tagged = tagged.take(pa.array(order))
+    return (rows, *(tagged.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])))
+
+
+@ray.remote(num_cpus=1)
+def _count_bucket(*parts: pa.Table) -> pa.Table:
+    """(doc_id, file, rows) of the ids that occur more than once across
+    ``parts`` (one hash bucket of every scan group), counted exactly."""
+    t = pa.concat_tables(parts)
+    per_id = t.group_by("doc_id", use_threads=False).aggregate([("file", "count")])
+    dup = per_id.filter(pc.greater(per_id.column("file_count"), 1)).column("doc_id")
+    t = t.filter(pc.is_in(t.column("doc_id"), value_set=dup.combine_chunks()))
+    return t.group_by(["doc_id", "file"], use_threads=False).aggregate(
+        [([], "count_all")]
+    )
 
 
 def scan_duplicates(
@@ -98,46 +140,34 @@ def scan_duplicates(
     """(dup_ids, per file holding one: {dup id: its rows in that file},
     per file: its row count) via a distributed narrow scan.
 
-    One raw Ray task per file reads ONLY the doc_id column and returns
-    uint64 hashes (8 bytes/row — a Dataset string groupby here cost 10×
-    more, measured); duplicates are found numerically on the driver, then
-    the (rare) colliding ids are resolved exactly by re-reading just the
-    files that contain them. Raw tasks are justified: the reduction is a
-    driver-side merge of per-file sketches, which the Dataset API would
-    express as a far costlier global shuffle. Scale path beyond ~10^9 rows
-    per run: tree-merge the per-file hash arrays in tasks instead of
-    concatenating on the driver. A file's row count is the length of its
-    hash array, so it costs no footer read.
+    One group task per ``_FAN_IN`` files reads only their doc_id columns,
+    tags each row with its file and splits the (doc_id, file) rows into
+    hash buckets, about one bucket per ``_FAN_IN`` groups (32 files: one
+    group, one bucket). One task per bucket counts its ids exactly and
+    returns only those occurring more than once, already counted per file.
+    The driver receives each file's row count and those small dup tables:
+    no hash array, no id column and no file read reaches it. The bucket
+    decides only where an id is counted, so a hash collision changes no
+    result. Raw tasks, because this is a two-level reduction of
+    column-pruned reads that the Dataset API would express as a global
+    shuffle (a Dataset string groupby cost 10× more, measured).
     """
-    from collections import Counter
-
-    import pyarrow.parquet as pq
-
-    hashes = ray.get([_file_id_hashes.remote(f) for f in input_files])
-    rows = {f: len(h) for f, h in zip(input_files, hashes)}
-    all_h = np.sort(np.concatenate(hashes)) if hashes else np.zeros(0, np.uint64)
-    dup_h = np.unique(all_h[1:][all_h[1:] == all_h[:-1]])
-    if len(dup_h) == 0:
-        return set(), {}, rows
-    # exact resolution: count candidate id strings in the touched files
-    cnt: Counter = Counter()
-    file_candidates: dict[str, Counter] = {}
-    for f, h in zip(input_files, hashes):
-        mask = np.isin(h, dup_h)
-        if not mask.any():
-            continue
-        ids = (
-            pq.read_table(f, columns=["doc_id"]).column("doc_id")
-            .to_numpy(zero_copy_only=False)
-        )
-        file_candidates[f] = Counter(ids[mask].tolist())
-        cnt.update(file_candidates[f])
-    dup_ids = {s for s, c in cnt.items() if c > 1}
-    file_dups = {
-        f: held
-        for f, cands in file_candidates.items()
-        if (held := {s: c for s, c in cands.items() if s in dup_ids})
-    }
+    groups = [input_files[lo : lo + _FAN_IN] for lo in range(0, len(input_files), _FAN_IN)]
+    n_buckets = -(-len(groups) // _FAN_IN)
+    refs = [
+        _scan_group.options(num_returns=1 + n_buckets).remote(g, k * _FAN_IN, n_buckets)
+        for k, g in enumerate(groups)
+    ]
+    dups = ray.get([
+        _count_bucket.remote(*(r[1 + b] for r in refs)) for b in range(n_buckets)
+    ])
+    rows = dict(zip(input_files, (n for r in ray.get([r[0] for r in refs]) for n in r)))
+    file_dups: dict[str, dict[str, int]] = {}
+    for t in dups:
+        cols = (t.column(c).to_pylist() for c in ("doc_id", "file", "count_all"))
+        for d, f, c in zip(*cols):
+            file_dups.setdefault(input_files[f], {})[d] = c
+    dup_ids = {d for held in file_dups.values() for d in held}
     return dup_ids, file_dups, rows
 
 
@@ -190,16 +220,17 @@ _COUNTS = pa.schema(
 
 
 def _extractor(jobs_ref: "ray.ObjectRef | None", ocr: bool, metrics: str | None):
-    """Extract UDF of both chains. ``jobs_ref`` is ``ray.put(lookup)``
-    (None for an empty lookup), made once by the caller and read per task;
+    """Extract UDF of both chains. ``jobs_ref`` is ``ray.put`` of the
+    Arrow jobs lookup (None for no jobs), made once by the caller and read
+    back zero-copy per batch;
     a ``path`` column (each row's source file) rides along. ``metrics``:
     name of a live MetricsActor (state/metrics.py), sent ONE
     fire-and-forget counter call per batch, pollable mid-run via
     ``live_progress`` (the reference polled per-page Redis writes, G2)."""
 
     def extract(batch: pa.Table) -> pa.Table:
-        j = ray.get(jobs_ref) if jobs_ref is not None else {}
-        out = extract_batch(batch, j, emit_payloads=ocr)
+        lookup = ray.get(jobs_ref) if jobs_ref is not None else None
+        out = extract_batch(batch, lookup, emit_payloads=ocr)
         _report_metrics(out, metrics)
         if "path" in batch.column_names:
             out = out.append_column("path", batch.column("path"))
@@ -209,7 +240,7 @@ def _extractor(jobs_ref: "ray.ObjectRef | None", ocr: bool, metrics: str | None)
 
 
 def _extract_winners(
-    winners: pa.Table, lookup: dict[str, Job], ocr: bool, ocr_engine: str,
+    winners: pa.Table, lookup: pa.Table | None, ocr: bool, ocr_engine: str,
     ocr_model: str | None, metrics: str | None,
 ) -> pa.Table:
     """The dedup winner rows extracted (→ OCR) on the driver; they bypass
@@ -264,9 +295,9 @@ def build_extract_pipeline(
             dup_files = [f for f in input_files if f in file_dups]
             winners = _winner_rows(dup_files, dup_ids)
             ds = _drop_ids(ds, dup_ids)
-    lookup = jobs if isinstance(jobs, dict) else jobs_table_to_lookup(jobs)
+    lookup = jobs_table_to_lookup(jobs)
     out = ds.map_batches(
-        _extractor(ray.put(lookup) if lookup else None, ocr, metrics),
+        _extractor(None if lookup is None else ray.put(lookup), ocr, metrics),
         batch_format="pyarrow",
         batch_size=batch_size,
     )
@@ -472,7 +503,9 @@ def run_partitioned(
     # fingerprint each partition's file list: a manifest 'done' entry is
     # honored only if the partition still maps to the same files — resuming
     # with a different --partition-size or input set must not skip pids
-    # that now cover different chunks (would duplicate/drop documents)
+    # that now cover different chunks (would duplicate/drop documents); a
+    # row without a fingerprint (an older manifest) matches no chunking, so
+    # its pid re-runs
     chunk_md5 = {
         pid: hashlib.md5("\n".join(files).encode()).hexdigest()
         for pid, files in chunks
@@ -484,7 +517,7 @@ def run_partitioned(
     done = set()
     if resume:
         for pid, row in committed.items():
-            if row.get("files_md5", chunk_md5[pid]) == chunk_md5[pid]:
+            if row.get("files_md5") == chunk_md5[pid]:
                 done.add(pid)
     metrics_actor = None
     if metrics:
@@ -502,8 +535,8 @@ def run_partitioned(
             for f in files:
                 for d in file_dups.get(f, ()):
                     owner.setdefault(d, pid)
-        lookup = jobs if isinstance(jobs, dict) else jobs_table_to_lookup(jobs)
-        jobs_ref = ray.put(lookup) if lookup else None
+        lookup = jobs_table_to_lookup(jobs)
+        jobs_ref = None if lookup is None else ray.put(lookup)
     for k, wave in enumerate(_waves(pending)):
         t0 = time.perf_counter()
         files = [f for _, fs in wave for f in fs]

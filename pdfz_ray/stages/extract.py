@@ -20,32 +20,29 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..oracle import BAD_PAYLOAD_PREFIX, CORRUPT_SUFFIX, DEFAULT_JOB, Job
-from ..jobs import validate_engine
+from ..oracle import BAD_PAYLOAD_PREFIX, CORRUPT_SUFFIX
 from ..schema import OUTPUT_SCHEMA, SPAN_STRUCT
 
 
-def _job_arrays(doc_ids: pa.Array, jobs: dict[str, Job]):
+def _job_arrays(doc_ids: pa.Array, jobs: pa.Table | None):
     """Per-row (start_page, page_count, engine_ok) arrays from the broadcast
-    jobs dict. Dict lookup is per *row* (cheap), never per span."""
+    jobs lookup (``jobs.jobs_table_to_lookup``): one ``index_in`` over its
+    doc_ids and one ``take`` per column; a doc without a job gets the
+    default job."""
     n = len(doc_ids)
-    if not jobs:
+    if jobs is None:
         return (
             np.ones(n, np.int64),
             np.zeros(n, np.int64),
             np.ones(n, bool),
         )
-    ids = doc_ids.to_pylist()
-    start = np.fromiter(
-        (jobs.get(d, DEFAULT_JOB).start_page for d in ids), np.int64, count=n
-    )
-    count = np.fromiter(
-        (jobs.get(d, DEFAULT_JOB).page_count for d in ids), np.int64, count=n
-    )
-    ok = np.fromiter(
-        (validate_engine(jobs.get(d, DEFAULT_JOB).engine) for d in ids), bool, count=n
-    )
-    return start, count, ok
+    idx = pc.index_in(doc_ids, value_set=jobs.column("doc_id").combine_chunks())
+
+    def take(name: str, default):
+        col = pc.fill_null(jobs.column(name).take(idx), default)
+        return col.to_numpy(zero_copy_only=False)
+
+    return take("start_page", 1), take("page_count", 0), take("engine_ok", True)
 
 
 def _empty_output(
@@ -84,7 +81,7 @@ MAX_SPANS_PER_KERNEL = 4_000_000
 
 def extract_batch(
     batch: pa.Table,
-    jobs: dict[str, Job] | None = None,
+    jobs: pa.Table | None = None,
     emit_payloads: bool = False,
 ) -> pa.Table:
     """documents batch (doc_id, spans) → OUTPUT_SCHEMA batch.
@@ -96,9 +93,9 @@ def extract_batch(
 
     With ``emit_payloads`` a ``media_payloads: list<string>`` side column is
     added (payload seed per emitted media span, span order) for the
-    downstream OCR actor-pool stage.
+    downstream OCR actor-pool stage. ``jobs``: the lookup table of
+    ``jobs.jobs_table_to_lookup`` (None: every doc gets the default job).
     """
-    jobs = jobs or {}
     n = batch.num_rows
 
     # skew guard: chunk span-heavy batches by cumulative span count

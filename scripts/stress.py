@@ -7,6 +7,7 @@ times. Run from /root/repo (workers import pdfz_ray via the driver cwd):
     python scripts/stress.py neardup     # 100k-doc dup-heavy near-dup ops
     python scripts/stress.py curation1m  # 1M-doc curation family + shards
     python scripts/stress.py rarity      # doc_rarity w/ 10^6-term vocab
+    python scripts/stress.py plan        # job-path plan: dup scan + jobs lookup
 """
 
 from __future__ import annotations
@@ -487,6 +488,78 @@ def prep1m():
     print(json.dumps({"stress": "prep-1m", "timings": t, "outputs": out}))
 
 
+def plan():
+    """The job path's per-run plan across dup rate × jobs-table size: one
+    JSON line per point with the ``scan_duplicates`` wall over a fresh
+    32-file corpus (checked against a brute-force count), the jobs lookup
+    build on the driver, and the in-task ``ray.get`` of the broadcast
+    lookup and ``_job_arrays`` for one 2,048-row batch (median of 3).
+    Corpus files live in a temp dir (``TMPDIR``), removed after each point.
+    """
+    import tempfile
+    from collections import Counter
+
+    from pdfz_ray.jobs import jobs_table_to_lookup
+    from pdfz_ray.pipelines.extract_pipeline import scan_duplicates
+
+    ray = init_ray()
+
+    @ray.remote(num_cpus=1)
+    def in_task(refs: list, doc_ids: pa.Array) -> tuple[float, float]:
+        from pdfz_ray.stages.extract import _job_arrays
+
+        t0 = time.perf_counter()
+        lookup = ray.get(refs[0])
+        t1 = time.perf_counter()
+        _job_arrays(doc_ids, lookup)
+        return (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3
+
+    docs, files, batch = 100_000, 32, 2048
+    rng = np.random.default_rng(0)
+    for dup_rate in (0.0001, 0.01, 0.5):
+        n_dup = int(round(dup_rate / (1 - dup_rate) * docs))
+        idx = np.concatenate([np.arange(docs), rng.integers(0, docs, n_dup)])
+        ids = np.char.add("doc-", np.char.zfill(idx[rng.permutation(len(idx))].astype(str), 8))
+        for jobs_rows in (10**3, 10**5, 10**6):
+            jobs = pa.table({
+                "doc_id": np.char.add("doc-", np.char.zfill(
+                    rng.permutation(jobs_rows).astype(str), 8)),
+                "start_page": rng.integers(0, 4, jobs_rows).astype(np.int32),
+                "page_count": rng.integers(0, 3, jobs_rows).astype(np.int32),
+                "engine": rng.choice(["tesseract", "Ollama", "", "paddle"], jobs_rows),
+            })
+            with tempfile.TemporaryDirectory(prefix="pdfz_plan_") as d:
+                paths = []
+                for i, chunk in enumerate(np.array_split(ids, files)):
+                    paths.append(os.path.join(d, f"in-{i:03d}.parquet"))
+                    pq.write_table(pa.table({"doc_id": chunk}), paths[-1])
+                t0 = time.perf_counter()
+                dup_ids, file_dups, _ = scan_duplicates(paths)
+                scan_s = time.perf_counter() - t0
+            per_file = [Counter(c.tolist()) for c in np.array_split(ids, files)]
+            total = sum(per_file, Counter())
+            want = {k for k, c in total.items() if c > 1}
+            exact = dup_ids == want and all(
+                file_dups.get(p, {}) == {k: c for k, c in cnt.items() if k in want}
+                for p, cnt in zip(paths, per_file)
+            )
+            t0 = time.perf_counter()
+            lookup = jobs_table_to_lookup(jobs)
+            build_s = time.perf_counter() - t0
+            refs = [ray.put(lookup)]
+            sample = pa.array(ids[:batch])
+            runs = ray.get([in_task.remote(refs, sample) for _ in range(3)])
+            get_ms, arrays_ms = (float(np.median(x)) for x in zip(*runs))
+            del refs
+            print(json.dumps({
+                "stress": "plan", "dup_rate": dup_rate, "jobs_rows": jobs_rows,
+                "rows": len(ids), "dup_ids": len(dup_ids), "scan_exact": exact,
+                "scan_s": round(scan_s, 4), "lookup_build_s": round(build_s, 4),
+                "task_get_ms": round(get_ms, 2), "task_job_arrays_ms": round(arrays_ms, 2),
+            }), flush=True)
+    ray.shutdown()
+
+
 if __name__ == "__main__":
     {
         "neardup": neardup,
@@ -496,4 +569,5 @@ if __name__ == "__main__":
         "windows1m": windows1m,
         "passage_sharded": passage_sharded,
         "prep1m": prep1m,
+        "plan": plan,
     }[sys.argv[1]]()

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from pdfz_ray.corpus import make_documents, make_jobs
 from pdfz_ray.jobs import jobs_table_to_lookup
-from pdfz_ray.oracle import Job, extract_corpus, extract_doc, flatten_results
+from pdfz_ray.oracle import (
+    Job,
+    extract_corpus,
+    extract_doc,
+    flatten_results,
+    jobs_table_to_dict,
+)
 from pdfz_ray.schema import DOCUMENTS_SCHEMA
 from pdfz_ray.stages.extract import extract_batch, flatten_output
 
@@ -23,7 +29,7 @@ def _first_wins(tbl: pa.Table) -> pa.Table:
 
 def _assert_matches_oracle(tbl: pa.Table, jobs=None):
     oracle = {r.doc_id: r for r in extract_corpus(tbl.to_pylist(), jobs)}
-    out = extract_batch(_first_wins(tbl), jobs)
+    out = extract_batch(_first_wins(tbl), jobs_table_to_lookup(jobs))
     assert out.num_rows == len(oracle)
     for row in out.to_pylist():
         o = oracle[row["doc_id"]]
@@ -40,9 +46,44 @@ def test_golden_corpus_default_jobs():
 
 def test_golden_corpus_with_window_jobs():
     tbl = make_documents(120, monster_spans=300)
-    jobs = jobs_table_to_lookup(make_jobs(120))
+    jobs = jobs_table_to_dict(make_jobs(120))
     assert jobs  # windowed family present
     _assert_matches_oracle(tbl, jobs)
+
+
+def test_lookup_matches_oracle_dict_on_edge_jobs():
+    """The Arrow jobs lookup resolves every edge of a jobs table as the
+    oracle's row-loop dict does: a repeated doc_id (last row wins), null
+    and 0 starts, a null count, "", null, upper- and mixed-case, unknown
+    and dotted-capital-I engines, phantom ids and a missing model column;
+    and a table without the optional columns gives every doc its
+    defaults."""
+    tbl = _first_wins(make_documents(60, monster_spans=40))
+    ids = tbl.column("doc_id").to_pylist()
+    engines = ["", None, "TESSERACT", "Ollama", "paddle", "İollama", "ollama"]
+    jobs = pa.table({
+        "doc_id": [ids[0], ids[1], ids[2], ids[3], ids[4], ids[5], ids[0],
+                   "ghost-1", ids[6], ids[7], "ghost-2"],
+        "start_page": pa.array([3, None, 0, 2, 1, 1, 2, 5, 0, None, 1], pa.int32()),
+        "page_count": pa.array([1, 2, None, 0, 1, 1, None, 1, 2, None, 0], pa.int32()),
+        "engine": engines + ["tesseract", "TESSERACT", "Ollama", None],
+    })
+    assert jobs_table_to_dict(jobs)[ids[0]].start_page == 2  # last row wins
+    for table in (jobs, jobs.select(["doc_id"])):
+        want = {r.doc_id: r for r in extract_corpus(tbl.to_pylist(), jobs_table_to_dict(table))}
+        lookup = jobs_table_to_lookup(table)
+        assert lookup.num_rows == len(set(table.column("doc_id").to_pylist()))
+        got = extract_batch(tbl, lookup).to_pylist()
+        assert len(got) == len(want)
+        for row in got:
+            o = want[row["doc_id"]]
+            assert (row["status"], row["spans"], row["pages"]) == (o.status, o.spans, o.pages)
+            assert (row["decode_failures"], row["empty_pages"]) == (
+                o.decode_failures, o.empty_pages
+            )
+    failed = {r["doc_id"] for r in extract_batch(tbl, jobs_table_to_lookup(jobs)).to_pylist()
+              if r["status"] == "failed"}
+    assert {ids[4], ids[5]} <= failed  # "paddle" and "İollama" are unknown
 
 
 def test_flatten_matches_oracle_flat():
@@ -100,7 +141,7 @@ def test_property_random_docs_match_oracle(docs, start, count):
     tbl = pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
     job = Job(start_page=start, page_count=count)
     jobs = {r["doc_id"]: job for r in rows}
-    out = extract_batch(tbl, jobs)
+    out = extract_batch(tbl, jobs_table_to_lookup(jobs))
     for row in out.to_pylist():
         o = extract_doc(row["doc_id"], rows[int(row["doc_id"][2:])]["spans"], job)
         assert row["spans"] == o.spans

@@ -8,8 +8,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from pdfz_ray.corpus import make_documents, make_jobs
-from pdfz_ray.jobs import jobs_table_to_lookup
-from pdfz_ray.oracle import extract_corpus, flatten_results
+from pdfz_ray.oracle import extract_corpus, flatten_results, jobs_table_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +34,7 @@ def test_pipeline_matches_oracle(ray_session, corpus_files):
     from pdfz_ray.stages.extract import flatten_output
 
     tbl, paths = corpus_files
-    jobs = jobs_table_to_lookup(make_jobs(120))
+    jobs = jobs_table_to_dict(make_jobs(120))
     ds = rd.read_parquet(paths)
     out = build_extract_pipeline(ds, jobs, input_files=paths, ocr_concurrency=2)
     flat = out.map_batches(flatten_output, batch_format="pyarrow")
@@ -76,6 +75,73 @@ def test_scan_duplicates_counts_rows(ray_session, corpus_files):
         dup_ids, _, rows = scan_duplicates(files)
         assert bool(dup_ids) == (files == paths)
         assert rows == {f: pq.read_metadata(f).num_rows for f in files}
+
+
+@pytest.mark.parametrize("fan_in", [32, 2])
+def test_scan_duplicates_matches_brute_force_count(
+    ray_session, tmp_path, monkeypatch, fan_in
+):
+    """The dup scan equals a brute-force ``Counter`` over all files, with
+    cross-file duplicates, repeats inside one file and an empty file; at
+    fan-in 2 its 9 files make 5 group tasks and 3 bucket tasks. It
+    launches exactly groups + buckets tasks and reads no file on the
+    driver; with no duplicate it returns no dup ids."""
+    import math
+    from collections import Counter
+
+    from pdfz_ray.pipelines import extract_pipeline as ep
+
+    tbl = make_documents(120, monster_spans=200)
+    parts = [tbl.slice(i * 17, 17) for i in range(7)]
+    parts.insert(2, tbl.slice(0, 0))  # an empty file
+    parts.append(pa.concat_tables([tbl.slice(3, 2), tbl.slice(3, 1), tbl.slice(40, 1)]))
+    paths = []
+    for i, t in enumerate(parts):
+        paths.append(str(tmp_path / f"f{i}.parquet"))
+        pq.write_table(t, paths[-1])
+
+    per_file = {p: Counter(t.column("doc_id").to_pylist()) for p, t in zip(paths, parts)}
+    total = sum(per_file.values(), Counter())
+    want_ids = {d for d, c in total.items() if c > 1}
+    want_files = {
+        p: held for p, cnt in per_file.items()
+        if (held := {d: c for d, c in cnt.items() if d in want_ids})
+    }
+    assert want_ids and any(c > 1 for c in per_file[paths[-1]].values())
+
+    launched = []
+
+    class Spy:
+        def __init__(self, fn, name, **opts):
+            self.fn, self.name = fn, name
+
+        def options(self, **opts):
+            return Spy(self.fn.options(**opts), self.name)
+
+        def remote(self, *args):
+            launched.append(self.name)
+            return self.fn.remote(*args)
+
+    reads = []
+    real_read = pq.read_table
+    monkeypatch.setattr(pq, "read_table", lambda *a, **k: reads.append(a) or real_read(*a, **k))
+    monkeypatch.setattr(ep, "_FAN_IN", fan_in)
+    monkeypatch.setattr(ep, "_scan_group", Spy(ep._scan_group, "group"))
+    monkeypatch.setattr(ep, "_count_bucket", Spy(ep._count_bucket, "bucket"))
+
+    dup_ids, file_dups, rows = ep.scan_duplicates(paths)
+    assert dup_ids == want_ids
+    assert file_dups == want_files
+    assert rows == {p: t.num_rows for p, t in zip(paths, parts)}
+    groups = math.ceil(len(paths) / fan_in)
+    buckets = math.ceil(groups / fan_in)
+    assert (groups, buckets) == ((1, 1) if fan_in == 32 else (5, 3))
+    assert sorted(launched) == ["bucket"] * buckets + ["group"] * groups
+    assert reads == []
+
+    launched.clear()
+    assert ep.scan_duplicates(paths[:2]) == (set(), {}, {p: 17 for p in paths[:2]})
+    assert len(launched) == 2
 
 
 def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
@@ -284,25 +350,70 @@ def test_skew_routing_rejects_unsupported_combinations(
 def test_resume_of_committed_run_skips_planning(
     ray_session, corpus_files, tmp_path, monkeypatch
 ):
-    """Resubmitting a fully committed run neither scans for duplicates nor
-    builds the jobs lookup: it returns before any planning."""
+    """A run builds the jobs lookup once, through the module global, and
+    broadcasts it as one Arrow table; resubmitting a fully committed run
+    neither scans for duplicates nor builds or broadcasts the lookup: it
+    returns before any planning."""
     from pdfz_ray.pipelines import extract_pipeline as ep
 
     _, paths = corpus_files
     jobs = make_jobs(120)
     out_dir = str(tmp_path / "out")
+    lookups, puts = [], []
+    real_lookup, real_put = ep.jobs_table_to_lookup, ep.ray.put
+    monkeypatch.setattr(ep, "jobs_table_to_lookup", lambda t: lookups.append(t) or real_lookup(t))
+    monkeypatch.setattr(ep.ray, "put", lambda v, **k: puts.append(v) or real_put(v, **k))
     res1 = ep.run_partitioned(paths, out_dir, jobs, partition_size=2, ocr=False)
     assert res1["partitions_run"] == [0, 1]
+    # one lookup per run, from the caller's table, broadcast as one table
+    assert lookups == [jobs]
+    tables = [v for v in puts if isinstance(v, pa.Table)]
+    assert [t.column_names for t in tables] == [
+        ["doc_id", "start_page", "page_count", "engine_ok"]
+    ]
+    assert not any(isinstance(v, dict) for v in puts)
 
     def boom(*a, **k):
         raise AssertionError("planning ran on a fully committed resume")
 
+    puts.clear()
     monkeypatch.setattr(ep, "scan_duplicates", boom)
     monkeypatch.setattr(ep, "jobs_table_to_lookup", boom)
     res2 = ep.run_partitioned(paths, out_dir, jobs, partition_size=2, ocr=False)
+    assert puts == []
     assert res2["partitions_run"] == []
     assert res2["partitions_skipped"] == [0, 1]
     assert res2["output_files"] == res1["output_files"]
+
+
+def test_resume_reruns_commit_without_fingerprint(ray_session, corpus_files, tmp_path):
+    """A committed manifest row without ``files_md5`` (an older manifest)
+    matches no chunking: a resume at another partition size re-runs that
+    pid, and the output holds every doc once, oracle-exact."""
+    import json
+
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+    from pdfz_ray.stages.extract import flatten_output
+
+    tbl, paths = corpus_files
+    out_dir = str(tmp_path / "out")
+    res1 = run_partitioned(paths, out_dir, partition_size=1, ocr=False)
+    assert res1["partitions_run"] == [0, 1, 2, 3]
+    with open(res1["manifest"]) as f:
+        rows = [json.loads(line) for line in f]
+    for row in rows:
+        if row["partition_id"] == 0:
+            del row["files_md5"]
+    with open(res1["manifest"], "w") as f:
+        f.writelines(json.dumps(row) + "\n" for row in rows)
+
+    res2 = run_partitioned(paths, out_dir, partition_size=2, ocr=False)
+    assert res2["partitions_run"] == [0, 1]
+    out = pa.concat_tables([pq.read_table(f) for f in res2["output_files"]])
+    ids = out.column("doc_id").to_pylist()
+    assert len(ids) == len(set(ids))
+    got = sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
+    assert got == sorted(tuple(r.values()) for r in _oracle_flat(tbl))
 
 
 def test_resume_after_torn_manifest_line(ray_session, corpus_files, tmp_path):
