@@ -23,6 +23,18 @@ import json
 import sys
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of a size: an int of at least 1 (0 rows per batch or
+    files per partition has no valid plan)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description="pdfz_ray extraction job")
     p.add_argument("--input", required=True,
@@ -30,14 +42,18 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--jobs", default=None,
                    help="optional jobs parquet (doc_id, start_page, page_count, engine, model)")
-    p.add_argument("--partition-size", type=int, default=16,
+    p.add_argument("--partition-size", type=_at_least_one, default=16,
                    help="input files per resumable partition")
     p.add_argument("--engine", default="tesseract")
     p.add_argument("--model", default=None)
     p.add_argument("--no-ocr", action="store_true")
     p.add_argument("--no-resume", action="store_true",
                    help="reprocess committed partitions")
-    p.add_argument("--batch-size", type=int, default=2048)
+    p.add_argument("--batch-size", type=_at_least_one, default=2048,
+                   help="most rows per extract kernel call, and the target "
+                        "rows per read task: a wave's files are grouped "
+                        "into tasks of up to this many rows, and a larger "
+                        "file is read in slices of this many rows")
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init num_cpus when starting a local session")
     p.add_argument("--metrics", default=None, metavar="NAME",

@@ -15,10 +15,12 @@ the dedup winners (``_extract_winners``):
   once per run: one dup scan assigns each duplicated doc_id an owner
   partition and gives every file's row count, and one ``ray.put``
   broadcasts the jobs lookup table. It then runs the pending partitions in
-  doubling waves (1, 2, 4, … partitions), one fused read → drop-dups →
-  extract → OCR → write execution per wave (``_wave_chain``: extract,
-  OCR and the partition writer are one UDF); the writer splits each
-  batch by partition into the partitions' temp dirs and returns the
+  doubling waves (1, 2, 4, … partitions), one execution per wave
+  (``_wave_chain``): the wave's files, cut on the driver into groups of
+  about ``batch_size`` rows from the scan's row counts
+  (``_file_groups``), each run as one fused read → drop-dups → extract →
+  OCR → write task, with no ``read_parquet`` planning; the writer splits
+  each batch by partition into the partitions' temp dirs and returns the
   manifest counts, and each wave's owned dedup winners are extracted on
   the driver and written beside that output as ``winners.parquet``, so
   they share the partition's atomic commit and never pass through a
@@ -51,6 +53,12 @@ Scale notes (the 100 TB design points):
   extract tasks (the reference's shared single Ollama is exactly this
   bottleneck, docker-compose.yml:86-98); the job path runs OCR in the
   extract task with a per-worker engine cache;
+- a job-path task reads a group of files of at most ``batch_size`` rows
+  in total, or one larger file in slices of ``batch_size`` rows, so its
+  memory is bounded by the batch, not by the file; the tasks of a wave
+  are sized by rows, not bytes, so a group of docs far above the median
+  span count is heavier than its neighbours (``skew_threshold`` routes
+  such docs to a second stage);
 - output is committed per input partition (atomic rename + manifest line)
   as soon as its rows are written, so a resumed run skips finished
   partitions exactly and a crash loses at most one wave.
@@ -186,9 +194,9 @@ def _winner_rows(input_files: list[str], dup_ids: set) -> pa.Table:
     return dedup_within_batch(tbl)
 
 
-def _drop_ids(ds: "ray.data.Dataset", ids: set) -> "ray.data.Dataset":
-    """``ds`` without the rows whose doc_id is in ``ids``: one broadcast
-    set and one ``is_in`` filter, fused into the downstream map chain."""
+def _id_filter(ids: set):
+    """A batch → the batch without the rows whose doc_id is in ``ids``:
+    one broadcast set (``ray.put`` here, once) and one ``is_in``."""
     ids_ref = ray.put(pa.array(sorted(ids), pa.string()))
 
     def drop(batch: pa.Table) -> pa.Table:
@@ -196,7 +204,7 @@ def _drop_ids(ds: "ray.data.Dataset", ids: set) -> "ray.data.Dataset":
             pc.invert(pc.is_in(batch.column("doc_id"), value_set=ray.get(ids_ref)))
         )
 
-    return ds.map_batches(drop, batch_format="pyarrow")
+    return drop
 
 
 def _report_metrics(out: pa.Table, metrics: str | None) -> None:
@@ -294,7 +302,8 @@ def build_extract_pipeline(
             # winner is the true first occurrence in file order
             dup_files = [f for f in input_files if f in file_dups]
             winners = _winner_rows(dup_files, dup_ids)
-            ds = _drop_ids(ds, dup_ids)
+            # fused into the downstream map chain
+            ds = ds.map_batches(_id_filter(dup_ids), batch_format="pyarrow")
     lookup = jobs_table_to_lookup(jobs)
     out = ds.map_batches(
         _extractor(None if lookup is None else ray.put(lookup), ocr, metrics),
@@ -370,25 +379,58 @@ def _partition_writer(file_pid: dict[str, int], dirs: dict[int, str]):
     return write
 
 
+# the input columns the extract kernel reads
+_READ_COLUMNS = ["doc_id", "spans"]
+
+
+def _file_groups(
+    files: list[str], file_rows: dict[str, int], batch_size: int
+) -> list[list[str]]:
+    """``files`` cut, in order, into consecutive groups of at most
+    ``batch_size`` rows (``file_rows``: each file's row count, from the
+    dup scan, so no footer is read); a file of more rows is a group of its
+    own."""
+    groups: list[list[str]] = []
+    rows = 0
+    for f in files:
+        if groups and rows + file_rows[f] <= batch_size:
+            groups[-1].append(f)
+            rows += file_rows[f]
+        else:
+            groups.append([f])
+            rows = file_rows[f]
+    return groups
+
+
 def _wave_chain(
-    ds: "ray.data.Dataset", writer, jobs_ref: "ray.ObjectRef | None", *,
+    groups: list[list[str]], writer, jobs_ref: "ray.ObjectRef | None", drop, *,
     ocr: bool, ocr_engine: str, ocr_model: str | None, batch_size: int,
     skew_threshold: int | None, monster_batch_size: int, metrics: str | None,
 ) -> "ray.data.Dataset":
-    """A wave's execution: ``ds`` (rows with their ``path``) → the
-    ``_COUNTS`` rows of what ``writer`` (a ``_partition_writer``) wrote.
+    """A wave's execution: the files of ``groups`` (``_file_groups``) →
+    the ``_COUNTS`` rows of what ``writer`` (a ``_partition_writer``)
+    wrote.
 
-    One UDF, ``write``, runs extract (``_extractor``) → OCR (``ocr_task``,
-    the engine cached per worker) → ``writer`` in the calling task; an
-    unrouted wave is one ``map_batches`` of it.
+    The Dataset is ``from_items`` of the groups, one block each, and one
+    fused ``map_batches`` UDF, ``read_wave``, which runs one task per
+    group: it reads the group's files with pyarrow (``doc_id`` and
+    ``spans`` only; a file of more than ``batch_size`` rows, a group of
+    its own, in slices of ``batch_size`` rows), adds each row's ``path``
+    (the input string ``writer`` keys on), applies ``drop`` (an
+    ``_id_filter``, or None) and runs ``write`` on each piece of at most
+    ``batch_size`` rows. ``write`` runs extract (``_extractor``) → OCR
+    (``ocr_task``, the engine cached per worker) → ``writer``. There is no
+    ``read_parquet``: its planning per execution (file stats, footer
+    fetch tasks, encoding-ratio sampling tasks) and its unfused read task
+    per file cost more than the kernels on a small wave (measured).
 
     ``skew_threshold`` (size-bucket routing, SURVEY §7.1 M4): the chain
     becomes light stage → streaming re-block → heavy stage. The light
-    stage, one map task fused with the upstream drop filter, writes the
-    docs of at most ``skew_threshold`` spans and passes the heavier docs
-    on unextracted. The re-block cuts its output into blocks of
-    ``monster_batch_size`` rows — a map operator, not an all-to-all
-    barrier — so c monsters in one read block spread over
+    stage, run by ``read_wave`` on each piece in place of ``write``,
+    writes the docs of at most ``skew_threshold`` spans and passes the
+    heavier docs on unextracted. The re-block cuts its output into blocks
+    of ``monster_batch_size`` rows — a map operator, not an all-to-all
+    barrier — so c monsters in one group spread over
     ⌈c / ``monster_batch_size``⌉ heavy tasks (Ray's task granularity is
     the block: ``batch_size`` does not split a block across tasks).
     The heavy stage writes those docs and passes the light stage's count
@@ -405,14 +447,42 @@ def _wave_chain(
             out = ocr_task(out, engine=ocr_engine, model=ocr_model)
         return writer(out)
 
-    if skew_threshold is None:
-        return ds.map_batches(write, batch_format="pyarrow", batch_size=batch_size)
-
     def light(batch: pa.Table) -> pa.Table:
         n = pc.fill_null(pc.list_value_length(batch.column("spans")), 0)
         big = pc.greater(n, skew_threshold)
         counts = write(batch.filter(pc.invert(big)))
         return pa.concat_tables([batch.filter(big), counts], promote_options="default")
+
+    stage = write if skew_threshold is None else light
+
+    def run(docs: pa.Table) -> pa.Table:
+        return stage(docs if drop is None else drop(docs))
+
+    def read_wave(group: pa.Table):
+        import pyarrow.parquet as pq
+
+        def tagged(t: pa.Table, path: str) -> pa.Table:
+            return t.append_column("path", pa.array([path] * t.num_rows, pa.string()))
+
+        (files,) = group.column("files").to_pylist()
+        small = []
+        for f in files:
+            pf = pq.ParquetFile(f)
+            if pf.metadata.num_rows <= batch_size:
+                small.append(tagged(pf.read(_READ_COLUMNS, use_threads=False), f))
+                continue
+            for rb in pf.iter_batches(batch_size, columns=_READ_COLUMNS, use_threads=False):
+                yield run(tagged(pa.Table.from_batches([rb]), f))
+        if small:
+            docs = pa.concat_tables(small)
+            for lo in range(0, docs.num_rows, batch_size):
+                yield run(docs.slice(lo, batch_size))
+
+    out = ray.data.from_items(
+        [{"files": g} for g in groups], override_num_blocks=len(groups)
+    ).map_batches(read_wave, batch_format="pyarrow", batch_size=None)
+    if skew_threshold is None:
+        return out
 
     def heavy(batch: pa.Table) -> pa.Table:
         is_doc = pc.is_null(batch.column("pid"))
@@ -421,8 +491,7 @@ def _wave_chain(
         return pa.concat_tables([counts.cast(_COUNTS), write(docs)])
 
     return (
-        ds.map_batches(light, batch_format="pyarrow", batch_size=batch_size)
-        .repartition(target_num_rows_per_block=monster_batch_size)
+        out.repartition(target_num_rows_per_block=monster_batch_size)
         .map_batches(heavy, batch_format="pyarrow", batch_size=monster_batch_size)
     )
 
@@ -468,16 +537,19 @@ def run_partitioned(
     winner row; every partition drops it from its stream; and every file's
     row count) and one broadcast of the jobs lookup. Pending partitions
     then run in waves of 1, 2, 4, 8, … partitions, one Ray Data execution
-    per wave (``_wave_chain``): read → ``is_in`` drop → one UDF of extract
-    → OCR → ``_partition_writer``, whose tasks return the counts of what
-    they wrote (with ``skew_threshold``, the light and heavy stages each
-    run that UDF). The wave's owned winners are extracted once on the
-    driver and written as ``winners.parquet`` into their owners' temp dirs.
-    A partition commits once its docs reach the expected count (winners
-    plus input rows less dup-id rows, both from the scan), so one holding
-    only duplicates owned elsewhere commits at once, empty. A crash redoes
-    at most the running wave, never larger than the work committed before
-    it plus one partition.
+    per wave (``_wave_chain``). The wave's files are cut into groups of at
+    most ``batch_size`` rows from the scan's row counts (``_file_groups``;
+    no footer is read), and each group is one task: pyarrow read →
+    ``is_in`` drop → extract → OCR → ``_partition_writer``, which returns
+    the counts of what it wrote (with ``skew_threshold``, the light and
+    heavy stages each run extract → OCR → write). The wave's owned winners
+    are extracted once on the driver and written as ``winners.parquet``
+    into their owners' temp dirs. A partition commits once its docs reach
+    the expected count (winners plus input rows less dup-id rows, both
+    from the scan), so one holding only duplicates owned elsewhere commits
+    at once, empty, and its files are not read. A crash redoes at most
+    the running wave, never larger than the work committed before it plus
+    one partition.
 
     Manifest rows: the partition's counts (``docs``, ``docs_failed``,
     ``pages``, ``decode_failures``, ``empty_pages``), ``wave`` (0-based
@@ -485,7 +557,9 @@ def run_partitioned(
     partition's commit) and ``files_md5``. Each wave logs one DEBUG record
     on the ``pdfz_ray`` logger. OCR runs in the extract task with a
     per-worker engine cache; ``metrics``: see ``_extractor``;
-    ``skew_threshold`` and ``monster_batch_size``: see ``_wave_chain``.
+    ``batch_size`` (the most rows per extract call and the target rows per
+    read task), ``skew_threshold`` and ``monster_batch_size``: see
+    ``_wave_chain``.
 
     The returned ``output_dirs`` and ``output_files`` are those of this
     run's chunking.
@@ -543,15 +617,6 @@ def run_partitioned(
         tmp = {pid: manifest.begin(pid) for pid, _ in wave}
         drop = set().union(*(file_dups.get(f, ()) for f in files))
         owned = {d for d in drop if owner[d] in tmp}
-        ds = ray.data.read_parquet(files, include_paths=True)
-        if drop:
-            ds = _drop_ids(ds, drop)
-        out = _wave_chain(
-            ds, _partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
-            jobs_ref, ocr=ocr, ocr_engine=ocr_engine, ocr_model=ocr_model,
-            batch_size=batch_size, skew_threshold=skew_threshold,
-            monster_batch_size=monster_batch_size, metrics=metrics,
-        )
         counts = {pid: dict.fromkeys(_COUNTS.names[1:], 0) for pid in tmp}
         if owned:
             winners = _winner_rows([f for f in files if f in file_dups], owned)
@@ -584,16 +649,32 @@ def run_partitioned(
         for pid, _ in wave:
             settle(pid)
         if tmp:
+            # the files of the partitions not settled yet (a settled one's
+            # rows are all dropped)
+            groups = _file_groups(
+                [f for pid, fs in wave if pid in tmp for f in fs], file_rows, batch_size
+            )
+            out = _wave_chain(
+                groups, _partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
+                jobs_ref, _id_filter(drop) if drop else None, ocr=ocr,
+                ocr_engine=ocr_engine, ocr_model=ocr_model, batch_size=batch_size,
+                skew_threshold=skew_threshold, monster_batch_size=monster_batch_size,
+                metrics=metrics,
+            )
             # result bundles are pulled on this thread, not on a prefetch
             # thread as in ``iter_batches``: an exception raised while
             # waiting (a signal, say) then shuts the execution down before
             # it propagates, and no thread keeps pulling during teardown
             for bundle in out.iter_internal_ref_bundles():
                 for block in ray.get(bundle.block_refs):
-                    for row in block.to_pylist():
-                        pid = row.pop("pid")
-                        for name, v in row.items():
-                            counts[pid][name] += v
+                    if not block.num_rows:
+                        continue
+                    sums = block.group_by("pid", use_threads=False).aggregate(
+                        [(name, "sum") for name in _COUNTS.names[1:]]
+                    ).to_pydict()
+                    for i, pid in enumerate(sums["pid"]):
+                        for name in _COUNTS.names[1:]:
+                            counts[pid][name] += sums[f"{name}_sum"][i]
                         settle(pid)
         if tmp:
             raise RuntimeError(

@@ -8,6 +8,7 @@ times. Run from /root/repo (workers import pdfz_ray via the driver cwd):
     python scripts/stress.py curation1m  # 1M-doc curation family + shards
     python scripts/stress.py rarity      # doc_rarity w/ 10^6-term vocab
     python scripts/stress.py plan        # job-path plan: dup scan + jobs lookup
+    python scripts/stress.py waves       # job-path wave reads: rows/file × batch size
 """
 
 from __future__ import annotations
@@ -560,6 +561,81 @@ def plan():
     ray.shutdown()
 
 
+def waves():
+    """The job path's wave reads across rows per file (100, 2k, 50k) ×
+    ``batch_size`` (512, 2048) on one Ray CPU: many tiny files packed into
+    one task, and one large file read in slices. One JSON line per point:
+    read tasks per wave (the ``_file_groups`` of each wave), and the
+    medians over 3 fresh jobs, after one warm-up job, of the driver's CPU
+    per job (``RUSAGE_SELF``, so Ray Data's executor threads count) and of
+    ``first_commit_s`` (job start to the first manifest commit); the last
+    job's output is checked against the oracle. Each corpus is written
+    once per rows-per-file value into a temp dir (``TMPDIR``) and removed
+    after its points."""
+    import resource
+    import tempfile
+
+    import pyarrow.dataset as pads
+
+    from pdfz_ray.corpus import make_documents, make_jobs
+    from pdfz_ray.oracle import extract_corpus, flatten_results, jobs_table_to_dict
+    from pdfz_ray.pipelines import extract_pipeline as ep
+    from pdfz_ray.stages.extract import flatten_output
+    from pdfz_ray.state.manifest import Manifest
+
+    os.environ.setdefault("RAY_GRAFT_CPUS", "1")
+    ray = init_ray()
+    tasks: list[int] = []
+    real_groups = ep._file_groups
+
+    def counted(*a, **k):
+        groups = real_groups(*a, **k)
+        tasks.append(len(groups))
+        return groups
+
+    ep._file_groups = counted
+    # (rows per file, files, files per partition): ~4 partitions each
+    for rows, n_files, partition_size in ((100, 200, 50), (2_000, 10, 3), (50_000, 1, 1)):
+        # make_documents appends one copy of every 11th doc
+        tbl = make_documents(rows * n_files * 11 // 12, monster_spans=50)
+        tbl = tbl.slice(0, rows * n_files)
+        jobs = make_jobs(tbl.num_rows)
+        want = sorted(
+            tuple(r.values())
+            for r in flatten_results(extract_corpus(tbl.to_pylist(), jobs_table_to_dict(jobs)))
+        )
+        with tempfile.TemporaryDirectory(prefix="pdfz_waves_") as d:
+            paths = []
+            for i in range(n_files):
+                paths.append(os.path.join(d, f"in-{i:04d}.parquet"))
+                pq.write_table(tbl.slice(i * rows, rows), paths[-1])
+            for batch_size in (512, 2048):
+                cpu, first = [], []
+                for run in range(4):
+                    out = os.path.join(d, f"out-{batch_size}-{run}")
+                    tasks.clear()
+                    t0, r0 = time.time(), resource.getrusage(resource.RUSAGE_SELF)
+                    ep.run_partitioned(
+                        paths, out, jobs, partition_size=partition_size,
+                        batch_size=batch_size, ocr=True,
+                    )
+                    r1 = resource.getrusage(resource.RUSAGE_SELF)
+                    if run:  # run 0 warms the workers
+                        cpu.append(r1.ru_utime - r0.ru_utime + r1.ru_stime - r0.ru_stime)
+                        commits = [r["committed_at"] for r in Manifest(out).completed().values()]
+                        first.append(min(commits) - t0)
+                got = flatten_output(pads.dataset(out, format="parquet").to_table())
+                print(json.dumps({
+                    "stress": "waves", "rows_per_file": rows, "files": n_files,
+                    "partition_size": partition_size, "batch_size": batch_size,
+                    "tasks_per_wave": list(tasks),
+                    "driver_cpu_s": round(float(np.median(cpu)), 3),
+                    "first_commit_s": round(float(np.median(first)), 3),
+                    "oracle_exact": sorted(tuple(r.values()) for r in got.to_pylist()) == want,
+                }), flush=True)
+    ray.shutdown()
+
+
 if __name__ == "__main__":
     {
         "neardup": neardup,
@@ -570,4 +646,5 @@ if __name__ == "__main__":
         "passage_sharded": passage_sharded,
         "prep1m": prep1m,
         "plan": plan,
+        "waves": waves,
     }[sys.argv[1]]()

@@ -272,11 +272,11 @@ def test_run_partitioned_matches_union_topology_skewed(
 
 
 def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
-    """12 monsters contiguous in one file: a routed wave reads once, has
-    no union and no all-to-all repartition (the re-block is a streaming
-    map operator), spreads the monsters over ⌈12/2⌉ heavy tasks (one
-    file each, beside the light docs' file), and its output is
-    oracle-exact."""
+    """12 monsters contiguous in one file: a routed wave reads once, in
+    the fused read UDF that leads the chain (no ``ReadParquet``), has no
+    union and no all-to-all repartition (the re-block is a streaming map
+    operator), spreads the monsters over ⌈12/2⌉ heavy tasks (one file
+    each, beside the light docs' file), and its output is oracle-exact."""
     import re
 
     import ray.data as rd
@@ -319,7 +319,10 @@ def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
         for fused in re.findall(r"^Operator \d+ (.+?):", chain.stats(), re.M)
         for op in fused.split("->")
     ]
-    assert ops.count("ReadParquet") == 1, ops
+    # FromItems is the input buffer of the wave's file groups, not a task
+    assert ops[:2] == ["FromItems", "MapBatches(read_wave)"], ops
+    assert ops.count("MapBatches(read_wave)") == 1, ops
+    assert not [op for op in ops if "ReadParquet" in op], ops
     assert not [op for op in ops if "Union" in op], ops
     assert [op for op in ops if "Repartition" in op] == ["StreamingRepartition"], ops
     (part_dir,) = res["output_dirs"]
@@ -351,9 +354,10 @@ def test_resume_of_committed_run_skips_planning(
     ray_session, corpus_files, tmp_path, monkeypatch
 ):
     """A run builds the jobs lookup once, through the module global, and
-    broadcasts it as one Arrow table; resubmitting a fully committed run
-    neither scans for duplicates nor builds or broadcasts the lookup: it
-    returns before any planning."""
+    broadcasts it as one Arrow table (every other table put is a block of
+    a wave's file groups); resubmitting a fully committed run neither
+    scans for duplicates nor builds or broadcasts the lookup: it returns
+    before any planning."""
     from pdfz_ray.pipelines import extract_pipeline as ep
 
     _, paths = corpus_files
@@ -368,7 +372,9 @@ def test_resume_of_committed_run_skips_planning(
     # one lookup per run, from the caller's table, broadcast as one table
     assert lookups == [jobs]
     tables = [v for v in puts if isinstance(v, pa.Table)]
-    assert [t.column_names for t in tables] == [
+    groups = [t for t in tables if t.column_names == ["files"]]
+    assert groups
+    assert [t.column_names for t in tables if t.column_names != ["files"]] == [
         ["doc_id", "start_page", "page_count", "engine_ok"]
     ]
     assert not any(isinstance(v, dict) for v in puts)
@@ -577,15 +583,16 @@ def test_partition_writer_is_retry_safe(tmp_path):
 
 def test_waves_double_and_resume_in_order(ray_session, tmp_path, monkeypatch):
     """Pending partitions run in waves of 1, 2, 4, … partitions, one Ray
-    Data execution (read) each; the first partition commits before the
-    second wave is built; the driver reads no parquet footer (expected row
-    counts come from the dup scan); a resume runs waves over the pending
-    partitions only and reproduces the fresh run's output row for row."""
+    Data execution (one group read) each; the first partition commits
+    before the second wave is built; the driver reads no parquet footer
+    (expected row counts and the read groups come from the dup scan); a
+    resume runs waves over the pending partitions only and reproduces the
+    fresh run's output row for row."""
     import json
 
     import pyarrow.dataset as pads
-    import ray.data as rd
 
+    from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.pipelines.extract_pipeline import _waves, run_partitioned
     from pdfz_ray.state.manifest import Manifest
 
@@ -598,13 +605,13 @@ def test_waves_double_and_resume_in_order(ray_session, tmp_path, monkeypatch):
         paths.append(p)
     out_dir = str(tmp_path / "out")
     reads = []
-    real_read = rd.read_parquet
+    real_groups = ep._file_groups
 
-    def read(files, **kw):
+    def read(files, *a, **kw):
         reads.append(([paths.index(f) for f in files], set(Manifest(out_dir).completed())))
-        return real_read(files, **kw)
+        return real_groups(files, *a, **kw)
 
-    monkeypatch.setattr(rd, "read_parquet", read)
+    monkeypatch.setattr(ep, "_file_groups", read)
     footers = []
     real_footer = pq.read_metadata
 
@@ -635,6 +642,186 @@ def test_waves_double_and_resume_in_order(ray_session, tmp_path, monkeypatch):
     assert res2["partitions_run"] == [1, 3, 4, 6, 7]
     assert res2["partitions_skipped"] == [0, 2, 5]
     assert rows() == fresh
+
+
+def test_file_groups_keep_order_and_row_bound():
+    """A wave's files are cut, in order, into consecutive groups of at
+    most ``batch_size`` rows; a group of more rows holds one file only,
+    and each group ends where the next file would not fit."""
+    import random
+
+    from pdfz_ray.pipelines.extract_pipeline import _file_groups
+
+    assert _file_groups([], {}, 4) == []
+    rows = {"a": 3, "b": 0, "c": 1, "d": 9, "e": 0, "f": 4, "g": 2}
+    assert _file_groups(list(rows), rows, 4) == [
+        ["a", "b", "c"], ["d"], ["e", "f"], ["g"]
+    ]
+    rng = random.Random(0)
+    for _ in range(300):
+        files = [f"f{i}" for i in range(rng.randint(0, 30))]
+        rows = {f: rng.choice([0, 1, 5, 100, 600, 2048, 5000]) for f in files}
+        batch_size = rng.choice([1, 512, 2048])
+        groups = _file_groups(files, rows, batch_size)
+        assert [f for g in groups for f in g] == files
+        for g in groups:
+            assert len(g) == 1 or sum(rows[f] for f in g) <= batch_size, g
+        for g, h in zip(groups, groups[1:]):
+            assert sum(rows[f] for f in g) + rows[h[0]] > batch_size, (g, h)
+
+
+def test_large_file_reaches_extract_in_batch_slices(ray_session, tmp_path, monkeypatch):
+    """A file of 3× ``batch_size`` rows, a group of its own, reaches the
+    extract kernel in slices: every call of the wave's extract UDF (one
+    ``extract_batch`` each) gets at most ``batch_size`` rows, and two
+    small files share one call; the calls cover every streamed row once
+    and the output is oracle-exact."""
+    from pdfz_ray.pipelines import extract_pipeline as ep
+    from pdfz_ray.stages.extract import flatten_output
+
+    tbl = make_documents(200, monster_spans=50)
+    assert tbl.num_rows == 218  # rows 200.. copy earlier ids
+    cuts = [(0, 150), (150, 20), (170, 30), (200, 18)]
+    paths = []
+    for i, (lo, n) in enumerate(cuts):
+        paths.append(str(tmp_path / f"f{i}.parquet"))
+        pq.write_table(tbl.slice(lo, n), paths[-1])
+    calls = tmp_path / "calls.txt"
+    real = ep._extractor
+
+    def spy(*a, **k):
+        extract = real(*a, **k)
+
+        def counted(batch):
+            with open(calls, "a") as f:
+                f.write(f"{batch.num_rows}\n")
+            return extract(batch)
+
+        return counted
+
+    monkeypatch.setattr(ep, "_extractor", spy)
+    res = ep.run_partitioned(
+        paths, str(tmp_path / "out"), partition_size=4, batch_size=50, ocr=False
+    )
+    sizes = [int(n) for n in calls.read_text().split()]
+    # 218 rows less both copies of the 18 duplicated ids (their winners
+    # are extracted on the driver)
+    assert sum(sizes) == 218 - 2 * 18
+    assert max(sizes) <= 50 and len(sizes) == 4, sizes
+    out = pa.concat_tables([pq.read_table(f) for f in res["output_files"]])
+    got = sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
+    assert got == sorted(tuple(r.values()) for r in _oracle_flat(tbl))
+
+
+def test_empty_file_and_dup_only_wave_commit(ray_session, tmp_path, monkeypatch):
+    """A 0-row input file and a wave whose rows are all duplicates owned
+    by an earlier partition each commit, with the output oracle-exact: at
+    partition size 1 both commit empty without being read (the dup-only
+    wave runs no execution); at size 4 one read group holds both."""
+    import json
+
+    from pdfz_ray.pipelines import extract_pipeline as ep
+    from pdfz_ray.stages.extract import flatten_output
+
+    docs = make_documents(30, monster_spans=50).slice(0, 30)
+    parts = [docs.slice(0, 20), docs.slice(0, 0), docs.slice(20, 10), docs.slice(0, 8)]
+    paths = []
+    for i, t in enumerate(parts):
+        paths.append(str(tmp_path / f"f{i}.parquet"))
+        pq.write_table(t, paths[-1])
+    want = sorted(tuple(r.values()) for r in _oracle_flat(pa.concat_tables(parts)))
+    read = []
+    real_groups = ep._file_groups
+
+    def groups(files, *a, **k):
+        read.append([paths.index(f) for f in files])
+        return real_groups(files, *a, **k)
+
+    monkeypatch.setattr(ep, "_file_groups", groups)
+    for size, reads in ((1, [[0], [2]]), (4, [[0, 1, 2, 3]])):
+        read.clear()
+        res = ep.run_partitioned(
+            paths, str(tmp_path / f"out{size}"), partition_size=size, ocr=False
+        )
+        assert read == reads, size
+        rows = {r["partition_id"]: r for r in map(json.loads, open(res["manifest"]))}
+        assert sorted(rows) == res["partitions_run"]
+        if size == 1:
+            assert rows[1]["docs"] == 0 and rows[3]["docs"] == 0
+            assert rows[3]["wave"] == 2
+        out = pa.concat_tables([pq.read_table(f) for f in res["output_files"]])
+        got = sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
+        assert got == want, size
+
+
+def test_run_partitioned_plans_no_read_parquet(ray_session, corpus_files, tmp_path, monkeypatch):
+    """Neither an unrouted nor a routed run calls ``ray.data.read_parquet``:
+    the waves' reads are planned from the dup scan."""
+    import ray.data as rd
+
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+
+    def boom(*a, **k):
+        raise AssertionError("run_partitioned planned a read_parquet")
+
+    monkeypatch.setattr(rd, "read_parquet", boom)
+    _, paths = corpus_files
+    for kw in ({}, {"skew_threshold": 100, "monster_batch_size": 4}):
+        res = run_partitioned(
+            paths, str(tmp_path / f"out{len(kw)}"), partition_size=2, ocr=False, **kw
+        )
+        assert res["partitions_run"] == [0, 1]
+
+
+def test_unrouted_wave_is_one_task_per_group(ray_session, corpus_files, tmp_path, monkeypatch):
+    """An unrouted wave executes exactly one operator, the fused read UDF,
+    with one task per file group."""
+    import re
+
+    from pdfz_ray.pipelines import extract_pipeline as ep
+
+    waves = []
+    real_groups, real_chain = ep._file_groups, ep._wave_chain
+
+    def groups(*a, **k):
+        waves.append([real_groups(*a, **k)])
+        return waves[-1][0]
+
+    def chain(*a, **k):
+        waves[-1].append(real_chain(*a, **k))
+        return waves[-1][1]
+
+    monkeypatch.setattr(ep, "_file_groups", groups)
+    monkeypatch.setattr(ep, "_wave_chain", chain)
+    _, paths = corpus_files  # 4 files of 33 rows
+    ep.run_partitioned(paths, str(tmp_path / "out"), partition_size=4, batch_size=70, ocr=False)
+    ((planned, ds),) = waves
+    assert planned == [paths[:2], paths[2:]]
+    ops = re.findall(r"^Operator \d+ (.+?): (\d+) tasks executed", ds.stats(), re.M)
+    # FromItems is the input buffer of the groups, not an executed operator
+    assert ops[0][0] == "FromItems", ops
+    assert ops[1:] == [("MapBatches(read_wave)", str(len(planned)))], ops
+
+
+def test_job_cli_rejects_sizes_below_one(tmp_path, monkeypatch, capsys):
+    """``--partition-size`` and ``--batch-size`` below 1 are usage errors
+    (exit code 2) before Ray starts."""
+    import ray
+
+    from pdfz_ray import job
+
+    def boom(*a, **k):
+        raise AssertionError("ray.init ran")
+
+    monkeypatch.setattr(ray, "init", boom)
+    src = str(tmp_path / "in.parquet")
+    pq.write_table(make_documents(4), src)
+    for flag in ("--partition-size", "--batch-size"):
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as err:
+                job.main(["--input", src, "--out", str(tmp_path / "out"), flag, value])
+            assert err.value.code == 2
+            assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
 
 
 def test_wave_plan_is_logged(ray_session, corpus_files, tmp_path, caplog):
