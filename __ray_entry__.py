@@ -58,14 +58,22 @@ def _fixture_docs(sf_dir: str):
     return ray.data.read_parquet(paths["documents_spans"]), paths
 
 
+def _fixture_deduped(sf_dir: str):
+    """The fixture's documents with exact dedup (``read_deduped``), and
+    the fixture paths."""
+    from pdfz_ray.pipelines.extract_pipeline import read_deduped
+    from pdfz_ray.sources.fixtures import ensure_fixtures
+
+    paths = ensure_fixtures(sf_dir)
+    return read_deduped([paths["documents_spans"]]), paths
+
+
 def _q_extract_flat(sf_dir: str):
     from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
     from pdfz_ray.stages.extract import flatten_output
 
-    ds, paths = _fixture_docs(sf_dir)
-    out = build_extract_pipeline(
-        ds, input_files=[paths["documents_spans"]], ocr=False
-    )
+    ds, _ = _fixture_deduped(sf_dir)
+    out = build_extract_pipeline(ds, ocr=False)
     return out.map_batches(flatten_output, batch_format="pyarrow")
 
 
@@ -73,11 +81,8 @@ def _q_extract_windowed(sf_dir: str):
     from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
     from pdfz_ray.stages.extract import flatten_output
 
-    ds, paths = _fixture_docs(sf_dir)
-    jobs = pq.read_table(paths["jobs"])
-    out = build_extract_pipeline(
-        ds, jobs, input_files=[paths["documents_spans"]], ocr=False
-    )
+    ds, paths = _fixture_deduped(sf_dir)
+    out = build_extract_pipeline(ds, pq.read_table(paths["jobs"]), ocr=False)
     return out.map_batches(flatten_output, batch_format="pyarrow")
 
 
@@ -86,10 +91,8 @@ def _q_ocr_spans(sf_dir: str):
     reference does then discards (M3)."""
     from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
 
-    ds, paths = _fixture_docs(sf_dir)
-    out = build_extract_pipeline(
-        ds, input_files=[paths["documents_spans"]], ocr=True, ocr_concurrency=2
-    )
+    ds, _ = _fixture_deduped(sf_dir)
+    out = build_extract_pipeline(ds, ocr=True, ocr_concurrency=2)
 
     def flatten_media_ocr(batch: pa.Table) -> pa.Table:
         done = batch.filter(pc.equal(batch.column("status"), "done"))

@@ -190,9 +190,7 @@ def run_bench(sf_dir: str, num_cpus: int, n_docs: int, replicas: int) -> dict:
     # - a single-core calibration burn brackets the run so a slow-host
     #   window is visible in the recorded JSON;
     # - the stage times run_partitioned, the function the job CLI
-    #   (pdfz_ray.job) calls, as one partition over the whole corpus; it
-    #   writes the dedup winners as a side file instead of a Dataset.union
-    #   (a UnionOperator un-fused map→write and cost ~25% idle, measured).
+    #   (pdfz_ray.job) calls, as one partition over the whole corpus.
     def _burn() -> float:
         t0 = time.perf_counter()
         x = 0

@@ -253,8 +253,7 @@ class _ContentGroups:
     adversarial stress profile).
 
     The group STRUCTURE (only groups with ≥2 members) is collected to the
-    driver and broadcast once — bounded by O(duplicate docs), the same
-    bound the flagship extract pipeline accepts for its winner set. A
+    driver and broadcast once — bounded by O(duplicate docs). A
     corpus where duplicates themselves don't fit a broadcast should run
     ``exact_dedup_docs`` + keeper filter first (what
     ``neardup_dedup_corpus`` composes).
@@ -600,7 +599,7 @@ def _verify_pairs_jaccard(
     The candidate-id SET is collected to the driver for the shingle
     filter — bounded by candidate docs (strictly smaller than the pair
     list). With file handles the candidate re-read would be a
-    predicate-pushdown read (see ``_winner_rows``). Verification cost is
+    predicate-pushdown read of the parquet files. Verification cost is
     O(candidates)."""
     id_rows = (
         pairs.map_batches(

@@ -24,8 +24,9 @@ import sys
 
 
 def _at_least_one(text: str) -> int:
-    """argparse type of a size: an int of at least 1 (0 rows per batch or
-    files per partition has no valid plan)."""
+    """argparse type of a size: an int of at least 1 (0 rows per batch,
+    files per partition, shards or tokens per sequence has no valid
+    plan)."""
     try:
         n = int(text)
     except ValueError:
@@ -67,9 +68,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--mode", choices=["extract", "curate"], default="extract",
                    help="extract = the flagship span pipeline; curate = "
                         "write packed training shards of the curated corpus")
-    p.add_argument("--shards", type=int, default=4,
+    p.add_argument("--shards", type=_at_least_one, default=4,
                    help="[curate] number of output shards")
-    p.add_argument("--budget", type=int, default=512,
+    p.add_argument("--budget", type=_at_least_one, default=512,
                    help="[curate] token budget per packed sequence")
     p.add_argument("--split", default="train",
                    help="[curate] which split to materialize")

@@ -6,41 +6,35 @@ the streaming executor's backpressured block scheduling; Redis
 status/progress becomes lineage columns + the per-partition manifest; the
 per-doc JSON files become one partitioned Parquet dataset.
 
-Each entry point builds its own extract chain; the two share the
-per-batch extract UDF (``_extractor``: extract, one metrics flush per
-batch, the carried ``path`` column) and the driver-side extraction of
-the dedup winners (``_extract_winners``):
+Exact dedup has one rule, kept in the stream: of each duplicated doc_id
+the first copy in (file order, row order) is extracted like any other row,
+and every later copy is dropped by its row offset as its file is read.
+``scan_duplicates`` picks those offsets from the input files and
+``_read_group`` reads a group of files less them. The two entry points
+share that reader and the per-batch extract UDF (``_extractor``: extract,
+one metrics flush per batch, the carried ``path`` column):
 
 - ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
-  once per run: one dup scan assigns each duplicated doc_id an owner
-  partition and gives every file's row count, and one ``ray.put``
-  broadcasts the jobs lookup table. It then runs the pending partitions in
-  doubling waves (1, 2, 4, … partitions), one execution per wave
-  (``_wave_chain``): the wave's files, cut on the driver into groups of
-  about ``batch_size`` rows from the scan's row counts
-  (``_file_groups``), each run as one fused read → drop-dups → extract →
+  once per run: one dup scan gives the offsets to drop and every file's
+  row count, and one ``ray.put`` broadcasts the jobs lookup table. It then
+  runs the pending partitions in doubling waves (1, 2, 4, … partitions),
+  one execution per wave (``_wave_chain``): the wave's files, cut on the
+  driver into groups of about ``batch_size`` rows from the scan's row
+  counts (``_file_groups``), each run as one fused read → drop → extract →
   OCR → write task, with no ``read_parquet`` planning; the writer splits
   each batch by partition into the partitions' temp dirs and returns the
-  manifest counts, and each wave's owned dedup winners are extracted on
-  the driver and written beside that output as ``winners.parquet``, so
-  they share the partition's atomic commit and never pass through a
-  ``Dataset.union``;
-- ``build_extract_pipeline`` returns a lazy Dataset: extract → OCR (as
-  tasks, or in an actor pool) with the winner rows unioned into the
-  stream.
-
-Both plan exact dedup the same way, from the files they read:
-``scan_duplicates`` over the input files, then ``_winner_rows`` for the
-first copy of each duplicated id. ``build_extract_pipeline`` dedups only
-when given ``input_files``; without them it extracts every row.
+  manifest counts;
+- ``build_extract_pipeline`` turns a caller's documents Dataset into a
+  lazy extract → OCR Dataset (OCR as tasks, or in an actor pool). A caller
+  that wants exact dedup passes ``read_deduped(paths)``.
 
 Scale notes (the 100 TB design points):
-- exact dedup never shuffles payloads: a column-pruned id scan finds the
-  (rare) duplicated ids, which are broadcast as a set and dropped from the
-  stream by one ``is_in`` filter; their winner rows come from a targeted
-  pushdown read. The scan is two levels of tasks (one per 32 files, one
-  per hash bucket) that count ids exactly, so the driver receives row
-  counts and the duplicated ids only — no hash array, no file re-read;
+- exact dedup never shuffles payloads and builds nothing per id on the
+  driver: a column-pruned id scan of two levels of tasks (one per 32
+  files, one per hash bucket) counts ids exactly and returns, per file,
+  the row offsets of the later copies (a numpy array each); each read
+  task drops its files' offsets with one keep mask, so the first copies
+  stream through the same fused task as every other row;
 - the jobs table is normalized once on the driver into one Arrow lookup
   table (``jobs_table_to_lookup``), broadcast via ``ray.put`` and read
   back zero-copy per batch, never re-shipped or unpickled into Python
@@ -53,7 +47,7 @@ Scale notes (the 100 TB design points):
   extract tasks (the reference's shared single Ollama is exactly this
   bottleneck, docker-compose.yml:86-98); the job path runs OCR in the
   extract task with a per-worker engine cache;
-- a job-path task reads a group of files of at most ``batch_size`` rows
+- a read task reads a group of files of at most ``batch_size`` rows
   in total, or one larger file in slices of ``batch_size`` rows, so its
   memory is bounded by the batch, not by the file; the tasks of a wave
   are sized by rows, not bytes, so a group of docs far above the median
@@ -86,37 +80,31 @@ from ..state.manifest import Manifest
 log = logging.getLogger(__name__)
 
 
-def dedup_within_batch(batch: pa.Table) -> pa.Table:
-    """First-wins doc_id dedup inside one batch (vectorized pre-pass)."""
-    import pandas as pd
-
-    ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-    dup = pd.Index(ids).duplicated(keep="first")
-    if not dup.any():
-        return batch
-    return batch.filter(pa.array(~dup))
-
-
 # files per scan group task, and scan groups per hash bucket
 _FAN_IN = 32
 
 
 @ray.remote(num_cpus=1)
 def _scan_group(paths: list[str], first: int, n_buckets: int):
-    """(row count of each of ``paths``, then one (doc_id, file) table per
-    hash bucket). ``file`` is a path's index in the scan's input list
-    (``first`` is the first one's); a row's bucket is a process-stable hash
-    of its doc_id modulo ``n_buckets``."""
+    """(row count of each of ``paths``, then one (doc_id, pos) table per
+    hash bucket). ``pos`` is a row's position: its file's index in the
+    scan's input list (``first`` is the first one's) in the high 32 bits,
+    its row offset in that file in the low 32, so positions order as
+    (file, row); a row's bucket is a process-stable hash of its doc_id
+    modulo ``n_buckets``."""
     import pandas as pd
     import pyarrow.parquet as pq
 
     ids = [pq.ParquetFile(p).read(columns=["doc_id"], use_threads=False) for p in paths]
     rows = [t.num_rows for t in ids]
+    n = np.asarray(rows, np.int64)
+    file = np.repeat(np.arange(first, first + len(paths), dtype=np.int64), n)
+    row = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
     tagged = pa.table({
         "doc_id": pa.chunked_array(
             [t.column("doc_id") for t in ids], pa.string()
         ).combine_chunks(),
-        "file": np.repeat(np.arange(first, first + len(paths), dtype=np.int32), rows),
+        "pos": (file << 32) | row,
     })
     if n_buckets == 1:
         return rows, tagged
@@ -130,37 +118,46 @@ def _scan_group(paths: list[str], first: int, n_buckets: int):
 
 
 @ray.remote(num_cpus=1)
-def _count_bucket(*parts: pa.Table) -> pa.Table:
-    """(doc_id, file, rows) of the ids that occur more than once across
-    ``parts`` (one hash bucket of every scan group), counted exactly."""
+def _count_bucket(*parts: pa.Table) -> tuple[pa.Array, np.ndarray]:
+    """(the ids that occur more than once across ``parts`` (one hash
+    bucket of every scan group), the positions of every copy of them but
+    the first), counted exactly."""
     t = pa.concat_tables(parts)
-    per_id = t.group_by("doc_id", use_threads=False).aggregate([("file", "count")])
-    dup = per_id.filter(pc.greater(per_id.column("file_count"), 1)).column("doc_id")
-    t = t.filter(pc.is_in(t.column("doc_id"), value_set=dup.combine_chunks()))
-    return t.group_by(["doc_id", "file"], use_threads=False).aggregate(
-        [([], "count_all")]
+    per_id = t.group_by("doc_id", use_threads=False).aggregate(
+        [("pos", "min"), ("pos", "count")]
     )
+    dup_ids = per_id.filter(pc.greater(per_id.column("pos_count"), 1)).column("doc_id")
+    # positions are unique, so a row is its id's first copy exactly when
+    # its position is the id's least
+    first = pc.is_in(t.column("pos"), value_set=per_id.column("pos_min").combine_chunks())
+    later = t.filter(pc.invert(first)).column("pos")
+    return dup_ids.combine_chunks(), np.asarray(later.to_numpy(), np.int64)
 
 
 def scan_duplicates(
-    input_files: list[str],
-) -> tuple[set, dict[str, dict[str, int]], dict[str, int]]:
-    """(dup_ids, per file holding one: {dup id: its rows in that file},
-    per file: its row count) via a distributed narrow scan.
+    paths: list[str],
+) -> tuple[pa.Array, dict[str, np.ndarray], dict[str, int]]:
+    """(dup_ids, per file holding a later copy of one: the sorted row
+    offsets of those copies, per file: its row count) via a distributed
+    narrow scan. A copy is later when an earlier copy of its doc_id comes
+    before it in (``paths`` order, row order): dropping the offsets
+    keeps exactly the first copy of each id.
 
     One group task per ``_FAN_IN`` files reads only their doc_id columns,
-    tags each row with its file and splits the (doc_id, file) rows into
+    tags each row with its position and splits the (doc_id, pos) rows into
     hash buckets, about one bucket per ``_FAN_IN`` groups (32 files: one
     group, one bucket). One task per bucket counts its ids exactly and
-    returns only those occurring more than once, already counted per file.
-    The driver receives each file's row count and those small dup tables:
-    no hash array, no id column and no file read reaches it. The bucket
-    decides only where an id is counted, so a hash collision changes no
-    result. Raw tasks, because this is a two-level reduction of
-    column-pruned reads that the Dataset API would express as a global
-    shuffle (a Dataset string groupby cost 10× more, measured).
+    returns only those occurring more than once, with the positions of
+    their later copies. The driver receives each file's row count, the
+    dup ids and those positions as arrays, and only splits the sorted
+    positions by file: nothing per id becomes a Python object, and no file
+    is read on the driver. The bucket decides only where an id is counted,
+    so a hash collision changes no result. Raw tasks, because this is a
+    two-level reduction of column-pruned reads that the Dataset API would
+    express as a global shuffle (a Dataset string groupby cost 10× more,
+    measured).
     """
-    groups = [input_files[lo : lo + _FAN_IN] for lo in range(0, len(input_files), _FAN_IN)]
+    groups = [paths[lo : lo + _FAN_IN] for lo in range(0, len(paths), _FAN_IN)]
     n_buckets = -(-len(groups) // _FAN_IN)
     refs = [
         _scan_group.options(num_returns=1 + n_buckets).remote(g, k * _FAN_IN, n_buckets)
@@ -169,42 +166,12 @@ def scan_duplicates(
     dups = ray.get([
         _count_bucket.remote(*(r[1 + b] for r in refs)) for b in range(n_buckets)
     ])
-    rows = dict(zip(input_files, (n for r in ray.get([r[0] for r in refs]) for n in r)))
-    file_dups: dict[str, dict[str, int]] = {}
-    for t in dups:
-        cols = (t.column(c).to_pylist() for c in ("doc_id", "file", "count_all"))
-        for d, f, c in zip(*cols):
-            file_dups.setdefault(input_files[f], {})[d] = c
-    dup_ids = {d for held in file_dups.values() for d in held}
-    return dup_ids, file_dups, rows
-
-
-def _winner_rows(input_files: list[str], dup_ids: set) -> pa.Table:
-    """One deterministic winner row per duplicated id: the first occurrence
-    in (file order, row order) — the J1 'first to arrive' made reproducible.
-
-    A targeted parquet read with predicate pushdown: only row groups
-    containing dup ids are materialized.
-    """
-    import pyarrow.dataset as pads
-
-    tbl = pads.dataset(input_files, format="parquet").to_table(
-        filter=pc.field("doc_id").isin(list(dup_ids)), use_threads=True
-    )
-    return dedup_within_batch(tbl)
-
-
-def _id_filter(ids: set):
-    """A batch → the batch without the rows whose doc_id is in ``ids``:
-    one broadcast set (``ray.put`` here, once) and one ``is_in``."""
-    ids_ref = ray.put(pa.array(sorted(ids), pa.string()))
-
-    def drop(batch: pa.Table) -> pa.Table:
-        return batch.filter(
-            pc.invert(pc.is_in(batch.column("doc_id"), value_set=ray.get(ids_ref)))
-        )
-
-    return drop
+    rows = dict(zip(paths, (n for r in ray.get([r[0] for r in refs]) for n in r)))
+    dup_ids = pa.chunked_array([d for d, _ in dups], pa.string()).combine_chunks()
+    later = np.sort(np.concatenate([p for _, p in dups] or [np.zeros(0, np.int64)]))
+    cuts = np.flatnonzero(np.diff(later >> 32)) + 1
+    drop = {paths[f[0] >> 32]: f & 0xFFFFFFFF for f in np.split(later, cuts) if len(f)}
+    return dup_ids, drop, rows
 
 
 def _report_metrics(out: pa.Table, metrics: str | None) -> None:
@@ -247,24 +214,10 @@ def _extractor(jobs_ref: "ray.ObjectRef | None", ocr: bool, metrics: str | None)
     return extract
 
 
-def _extract_winners(
-    winners: pa.Table, lookup: pa.Table | None, ocr: bool, ocr_engine: str,
-    ocr_model: str | None, metrics: str | None,
-) -> pa.Table:
-    """The dedup winner rows extracted (→ OCR) on the driver; they bypass
-    the streamed chain, so their metrics are flushed here."""
-    side = extract_batch(winners, lookup, emit_payloads=ocr)
-    if ocr:
-        side = ocr_task(side, engine=ocr_engine, model=ocr_model)
-    _report_metrics(side, metrics)
-    return side
-
-
 def build_extract_pipeline(
     ds: "ray.data.Dataset",
     jobs: pa.Table | dict[str, Job] | None = None,
     *,
-    input_files: list[str] | None = None,
     ocr: bool = True,
     ocr_engine: str = "tesseract",
     ocr_model: str | None = None,
@@ -273,18 +226,8 @@ def build_extract_pipeline(
     metrics: str | None = None,
 ) -> "ray.data.Dataset":
     """documents Dataset → extraction output Dataset (lazy, streaming):
-    extract → OCR, then the dedup winners unioned in.
-
-    Exact dedup runs exactly when ``input_files`` (the files ``ds`` reads,
-    in the order that decides which copy arrives first) is given:
-    ``scan_duplicates`` finds the duplicated doc_ids, they are dropped from
-    the stream, and their winner rows (first occurrence in file order, row
-    order) are extracted on the driver and unioned in AFTER the extract
-    stage, so the streamed chain stays fused (a pre-extract union costs an
-    extra trip of the whole corpus through the object store — measured).
-    Without ``input_files`` every row of ``ds`` is extracted.
-    ``run_partitioned`` writes the winners as a side file instead of a
-    union.
+    extract → OCR over every row of ``ds``. For exact dedup pass
+    ``read_deduped(paths)`` as ``ds``.
 
     ``ocr_concurrency``: None (default) runs the engine as *stateless
     tasks* with a per-worker engine cache — right when the engine is cheap
@@ -294,16 +237,6 @@ def build_extract_pipeline(
     that need exclusive resources (GPUs, big weights); size it knowing the
     upstream map fuses in. ``metrics``: see ``_extractor``.
     """
-    winners = None
-    if input_files is not None:
-        dup_ids, file_dups, _ = scan_duplicates(input_files)
-        if dup_ids:
-            # keep the caller's file order (not lexicographic) so the
-            # winner is the true first occurrence in file order
-            dup_files = [f for f in input_files if f in file_dups]
-            winners = _winner_rows(dup_files, dup_ids)
-            # fused into the downstream map chain
-            ds = ds.map_batches(_id_filter(dup_ids), batch_format="pyarrow")
     lookup = jobs_table_to_lookup(jobs)
     out = ds.map_batches(
         _extractor(None if lookup is None else ray.put(lookup), ocr, metrics),
@@ -311,14 +244,14 @@ def build_extract_pipeline(
         batch_size=batch_size,
     )
     if ocr and ocr_concurrency is None:
-        out = out.map_batches(
+        return out.map_batches(
             ocr_task,
             fn_kwargs={"engine": ocr_engine, "model": ocr_model},
             batch_format="pyarrow",
             batch_size=batch_size,
         )
-    elif ocr:
-        out = out.map_batches(
+    if ocr:
+        return out.map_batches(
             OcrStage,
             fn_constructor_kwargs={"engine": ocr_engine, "model": ocr_model},
             batch_format="pyarrow",
@@ -326,10 +259,7 @@ def build_extract_pipeline(
             concurrency=ocr_concurrency,
             num_cpus=1,
         )
-    if winners is None:
-        return out
-    side = _extract_winners(winners, lookup, ocr, ocr_engine, ocr_model, metrics)
-    return out.union(ray.data.from_arrow(side))
+    return out
 
 
 def _metrics_of(t: pa.Table) -> dict:
@@ -402,8 +332,69 @@ def _file_groups(
     return groups
 
 
+def _read_group(files: list[str], drop: dict[str, np.ndarray], batch_size: int):
+    """The rows of ``files`` (``doc_id`` and ``spans``, plus ``path``: the
+    input string of each row's file) less the row offsets that ``drop``
+    (from ``scan_duplicates``) lists per file, as tables of at most
+    ``batch_size`` rows. A file of more than ``batch_size`` rows is read in
+    slices of that many rows; smaller files are read whole and
+    concatenated."""
+    import pyarrow.parquet as pq
+
+    def kept(t: pa.Table, path: str, lo: int) -> pa.Table:
+        if path in drop:
+            offsets = drop[path]
+            a, b = np.searchsorted(offsets, [lo, lo + t.num_rows])
+            keep = np.ones(t.num_rows, bool)
+            keep[offsets[a:b] - lo] = False
+            t = t.filter(keep)
+        return t.append_column("path", pa.array([path] * t.num_rows, pa.string()))
+
+    small = []
+    for f in files:
+        pf = pq.ParquetFile(f)
+        if pf.metadata.num_rows <= batch_size:
+            small.append(kept(pf.read(_READ_COLUMNS, use_threads=False), f, 0))
+            continue
+        lo = 0
+        for rb in pf.iter_batches(batch_size, columns=_READ_COLUMNS, use_threads=False):
+            yield kept(pa.Table.from_batches([rb]), f, lo)
+            lo += rb.num_rows
+    if small:
+        docs = pa.concat_tables(small)
+        for lo in range(0, docs.num_rows, batch_size):
+            yield docs.slice(lo, batch_size)
+
+
+# rows per read_deduped group: build_extract_pipeline's default batch_size
+_GROUP_ROWS = 1024
+
+
+def read_deduped(paths: list[str]) -> "ray.data.Dataset":
+    """The documents (``doc_id``, ``spans``) of ``paths`` with exact
+    dedup: of each duplicated doc_id only the first copy in (file order —
+    the order of ``paths``, not lexicographic — then row order) is
+    kept. One ``scan_duplicates`` plans it; the Dataset is ``from_items``
+    of the files cut into groups of about ``_GROUP_ROWS`` rows
+    (``_file_groups``) and one ``map_batches`` over ``_read_group``, one
+    task per group, which fuses with the extract stage of
+    ``build_extract_pipeline``."""
+    _, drop, rows = scan_duplicates(paths)
+    groups = _file_groups(paths, rows, _GROUP_ROWS)
+
+    def read(group: pa.Table):
+        (files,) = group.column("files").to_pylist()
+        for docs in _read_group(files, drop, _GROUP_ROWS):
+            yield docs.drop_columns(["path"])
+
+    return ray.data.from_items(
+        [{"files": g} for g in groups], override_num_blocks=len(groups)
+    ).map_batches(read, batch_format="pyarrow", batch_size=None)
+
+
 def _wave_chain(
-    groups: list[list[str]], writer, jobs_ref: "ray.ObjectRef | None", drop, *,
+    groups: list[list[str]], writer, jobs_ref: "ray.ObjectRef | None",
+    drop: dict[str, np.ndarray], *,
     ocr: bool, ocr_engine: str, ocr_model: str | None, batch_size: int,
     skew_threshold: int | None, monster_batch_size: int, metrics: str | None,
 ) -> "ray.data.Dataset":
@@ -413,11 +404,10 @@ def _wave_chain(
 
     The Dataset is ``from_items`` of the groups, one block each, and one
     fused ``map_batches`` UDF, ``read_wave``, which runs one task per
-    group: it reads the group's files with pyarrow (``doc_id`` and
-    ``spans`` only; a file of more than ``batch_size`` rows, a group of
-    its own, in slices of ``batch_size`` rows), adds each row's ``path``
-    (the input string ``writer`` keys on), applies ``drop`` (an
-    ``_id_filter``, or None) and runs ``write`` on each piece of at most
+    group: ``_read_group`` reads the group's files less the row offsets
+    ``drop`` lists (the later copies of duplicated ids, from
+    ``scan_duplicates``), tagged with the ``path`` that ``writer`` keys
+    on, and ``read_wave`` runs ``write`` on each piece of at most
     ``batch_size`` rows. ``write`` runs extract (``_extractor``) → OCR
     (``ocr_task``, the engine cached per worker) → ``writer``. There is no
     ``read_parquet``: its planning per execution (file stats, footer
@@ -455,28 +445,10 @@ def _wave_chain(
 
     stage = write if skew_threshold is None else light
 
-    def run(docs: pa.Table) -> pa.Table:
-        return stage(docs if drop is None else drop(docs))
-
     def read_wave(group: pa.Table):
-        import pyarrow.parquet as pq
-
-        def tagged(t: pa.Table, path: str) -> pa.Table:
-            return t.append_column("path", pa.array([path] * t.num_rows, pa.string()))
-
         (files,) = group.column("files").to_pylist()
-        small = []
-        for f in files:
-            pf = pq.ParquetFile(f)
-            if pf.metadata.num_rows <= batch_size:
-                small.append(tagged(pf.read(_READ_COLUMNS, use_threads=False), f))
-                continue
-            for rb in pf.iter_batches(batch_size, columns=_READ_COLUMNS, use_threads=False):
-                yield run(tagged(pa.Table.from_batches([rb]), f))
-        if small:
-            docs = pa.concat_tables(small)
-            for lo in range(0, docs.num_rows, batch_size):
-                yield run(docs.slice(lo, batch_size))
+        for docs in _read_group(files, drop, batch_size):
+            yield stage(docs)
 
     out = ray.data.from_items(
         [{"files": g} for g in groups], override_num_blocks=len(groups)
@@ -532,24 +504,23 @@ def run_partitioned(
     ``out_dir`` holds each doc once and a later run at the old chunking
     re-runs it.
 
-    The plan is made once per run: one ``scan_duplicates`` (a duplicated
-    doc_id is owned by the first partition holding it, which writes its
-    winner row; every partition drops it from its stream; and every file's
-    row count) and one broadcast of the jobs lookup. Pending partitions
-    then run in waves of 1, 2, 4, 8, … partitions, one Ray Data execution
-    per wave (``_wave_chain``). The wave's files are cut into groups of at
-    most ``batch_size`` rows from the scan's row counts (``_file_groups``;
-    no footer is read), and each group is one task: pyarrow read →
-    ``is_in`` drop → extract → OCR → ``_partition_writer``, which returns
-    the counts of what it wrote (with ``skew_threshold``, the light and
-    heavy stages each run extract → OCR → write). The wave's owned winners
-    are extracted once on the driver and written as ``winners.parquet``
-    into their owners' temp dirs. A partition commits once its docs reach
-    the expected count (winners plus input rows less dup-id rows, both
-    from the scan), so one holding only duplicates owned elsewhere commits
-    at once, empty, and its files are not read. A crash redoes at most
-    the running wave, never larger than the work committed before it plus
-    one partition.
+    The plan is made once per run: one ``scan_duplicates`` (the row
+    offsets of the later copies of each duplicated doc_id, and every
+    file's row count) and one broadcast of the jobs lookup. A duplicated
+    id is thus written by the partition of its first copy's file, through
+    its normal writer. Pending partitions then run in waves of 1, 2, 4,
+    8, … partitions, one Ray Data execution per wave (``_wave_chain``).
+    The wave's files are cut into groups of at most ``batch_size`` rows
+    from the scan's row counts (``_file_groups``; no footer is read), and
+    each group is one task: pyarrow read less the files' later copies
+    (``_read_group``) → extract → OCR → ``_partition_writer``, which
+    returns the counts of what it wrote (with ``skew_threshold``, the
+    light and heavy stages each run extract → OCR → write). A partition
+    commits once its docs reach the expected count (its files' rows less
+    their later copies, both from the scan), so one holding only later
+    copies commits at once, empty, and its files are not read. A crash
+    redoes at most the running wave, never larger than the work committed
+    before it plus one partition.
 
     Manifest rows: the partition's counts (``docs``, ``docs_failed``,
     ``pages``, ``decode_failures``, ``empty_pages``), ``wave`` (0-based
@@ -566,8 +537,6 @@ def run_partitioned(
     """
     import glob
     import hashlib
-
-    import pyarrow.parquet as pq
 
     manifest = Manifest(out_dir)
     chunks = [
@@ -603,35 +572,16 @@ def run_partitioned(
             ray.get(metrics_actor.report.remote(partitions_done=len(done)))
     pending = [(pid, files) for pid, files in chunks if pid not in done]
     if pending:
-        _, file_dups, file_rows = scan_duplicates(input_paths)
-        owner: dict = {}
-        for pid, files in chunks:
-            for f in files:
-                for d in file_dups.get(f, ()):
-                    owner.setdefault(d, pid)
+        _, drop, file_rows = scan_duplicates(input_paths)
         lookup = jobs_table_to_lookup(jobs)
         jobs_ref = None if lookup is None else ray.put(lookup)
     for k, wave in enumerate(_waves(pending)):
         t0 = time.perf_counter()
         files = [f for _, fs in wave for f in fs]
         tmp = {pid: manifest.begin(pid) for pid, _ in wave}
-        drop = set().union(*(file_dups.get(f, ()) for f in files))
-        owned = {d for d in drop if owner[d] in tmp}
         counts = {pid: dict.fromkeys(_COUNTS.names[1:], 0) for pid in tmp}
-        if owned:
-            winners = _winner_rows([f for f in files if f in file_dups], owned)
-            side = _extract_winners(winners, lookup, ocr, ocr_engine, ocr_model, metrics)
-            by_owner = np.array([owner[d] for d in side.column("doc_id").to_pylist()])
-            for pid in np.unique(by_owner).tolist():
-                part = side.filter(pa.array(by_owner == pid))
-                pq.write_table(part, os.path.join(tmp[pid], "winners.parquet"))
-                counts[pid] = _metrics_of(part)
         expected = {
-            pid: counts[pid]["docs"] + sum(
-                file_rows[f] - sum(file_dups.get(f, {}).values())
-                for f in fs
-            )
-            for pid, fs in wave
+            pid: sum(file_rows[f] - len(drop.get(f, ())) for f in fs) for pid, fs in wave
         }
 
         def settle(pid: int) -> None:
@@ -656,7 +606,7 @@ def run_partitioned(
             )
             out = _wave_chain(
                 groups, _partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
-                jobs_ref, _id_filter(drop) if drop else None, ocr=ocr,
+                jobs_ref, {f: drop[f] for f in files if f in drop}, ocr=ocr,
                 ocr_engine=ocr_engine, ocr_model=ocr_model, batch_size=batch_size,
                 skew_threshold=skew_threshold, monster_batch_size=monster_batch_size,
                 metrics=metrics,
@@ -682,10 +632,9 @@ def run_partitioned(
                 + ", ".join(f"{p}: {counts[p]['docs']}/{expected[p]}" for p in sorted(tmp))
             )
         log.debug(
-            "wave %d: partitions %s, %d files, %d dup ids dropped, "
-            "%d owned winners, %.3f s",
-            k, [pid for pid, _ in wave], len(files), len(drop), len(owned),
-            time.perf_counter() - t0,
+            "wave %d: partitions %s, %d files, %d later copies dropped, %.3f s",
+            k, [pid for pid, _ in wave], len(files),
+            sum(len(drop.get(f, ())) for f in files), time.perf_counter() - t0,
         )
     dirs = [manifest.partition_dir(pid) for pid, _ in chunks]
     return {

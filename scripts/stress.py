@@ -491,11 +491,14 @@ def prep1m():
 
 def plan():
     """The job path's per-run plan across dup rate × jobs-table size: one
-    JSON line per point with the ``scan_duplicates`` wall over a fresh
-    32-file corpus (checked against a brute-force count), the jobs lookup
-    build on the driver, and the in-task ``ray.get`` of the broadcast
-    lookup and ``_job_arrays`` for one 2,048-row batch (median of 3).
-    Corpus files live in a temp dir (``TMPDIR``), removed after each point.
+    JSON line per point with the ``scan_duplicates`` wall and the driver's
+    CPU inside it (``time.process_time``, which does not grow with the
+    number of dup ids) over a fresh 32-file corpus, checked against a
+    brute-force count (the dup ids, and per file the row offsets of every
+    copy but the first in (file, row) order), the jobs lookup build on the
+    driver, and the in-task ``ray.get`` of the broadcast lookup and
+    ``_job_arrays`` for one 2,048-row batch (median of 3). Corpus files
+    live in a temp dir (``TMPDIR``), removed after each point.
     """
     import tempfile
     from collections import Counter
@@ -534,15 +537,21 @@ def plan():
                 for i, chunk in enumerate(np.array_split(ids, files)):
                     paths.append(os.path.join(d, f"in-{i:03d}.parquet"))
                     pq.write_table(pa.table({"doc_id": chunk}), paths[-1])
-                t0 = time.perf_counter()
-                dup_ids, file_dups, _ = scan_duplicates(paths)
+                t0, c0 = time.perf_counter(), time.process_time()
+                dup_ids, drop, _ = scan_duplicates(paths)
                 scan_s = time.perf_counter() - t0
-            per_file = [Counter(c.tolist()) for c in np.array_split(ids, files)]
-            total = sum(per_file, Counter())
-            want = {k for k, c in total.items() if c > 1}
-            exact = dup_ids == want and all(
-                file_dups.get(p, {}) == {k: c for k, c in cnt.items() if k in want}
-                for p, cnt in zip(paths, per_file)
+                scan_cpu_s = time.process_time() - c0
+            want = {k for k, c in Counter(ids.tolist()).items() if c > 1}
+            seen, want_drop = set(), {}
+            for p, chunk in zip(paths, np.array_split(ids, files)):
+                for row, k in enumerate(chunk.tolist()):
+                    if k in seen:
+                        want_drop.setdefault(p, []).append(row)
+                    seen.add(k)
+            exact = (
+                len(dup_ids) == len(want)
+                and set(dup_ids.to_pylist()) == want
+                and {p: o.tolist() for p, o in drop.items()} == want_drop
             )
             t0 = time.perf_counter()
             lookup = jobs_table_to_lookup(jobs)
@@ -555,7 +564,8 @@ def plan():
             print(json.dumps({
                 "stress": "plan", "dup_rate": dup_rate, "jobs_rows": jobs_rows,
                 "rows": len(ids), "dup_ids": len(dup_ids), "scan_exact": exact,
-                "scan_s": round(scan_s, 4), "lookup_build_s": round(build_s, 4),
+                "scan_s": round(scan_s, 4), "scan_driver_cpu_s": round(scan_cpu_s, 4),
+                "lookup_build_s": round(build_s, 4),
                 "task_get_ms": round(get_ms, 2), "task_job_arrays_ms": round(arrays_ms, 2),
             }), flush=True)
     ray.shutdown()

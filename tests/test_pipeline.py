@@ -28,15 +28,12 @@ def _oracle_flat(tbl, jobs=None):
 
 
 def test_pipeline_matches_oracle(ray_session, corpus_files):
-    import ray.data as rd
-
-    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
+    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline, read_deduped
     from pdfz_ray.stages.extract import flatten_output
 
     tbl, paths = corpus_files
     jobs = jobs_table_to_dict(make_jobs(120))
-    ds = rd.read_parquet(paths)
-    out = build_extract_pipeline(ds, jobs, input_files=paths, ocr_concurrency=2)
+    out = build_extract_pipeline(read_deduped(paths), jobs, ocr_concurrency=2)
     flat = out.map_batches(flatten_output, batch_format="pyarrow")
     got = sorted(
         (tuple(r.values()) for r in flat.take_all()),
@@ -50,19 +47,19 @@ def test_pipeline_matches_oracle(ray_session, corpus_files):
 
 
 def test_pipeline_dedup_exact(ray_session, corpus_files):
-    """Exact dedup runs exactly when the input files are given: one row
-    per distinct doc_id with them, one per input row without."""
+    """Exact dedup runs exactly when the documents come from
+    ``read_deduped``: one row per distinct doc_id from it, one per input
+    row from a plain read."""
     import ray.data as rd
 
-    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
+    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline, read_deduped
 
     tbl, paths = corpus_files
     n_unique = len(set(tbl.column("doc_id").to_pylist()))
     n_rows = sum(pq.read_metadata(p).num_rows for p in paths)
     assert n_unique < n_rows
-    ds = rd.read_parquet(paths)
-    assert build_extract_pipeline(ds, input_files=paths, ocr=False).count() == n_unique
-    assert build_extract_pipeline(ds, ocr=False).count() == n_rows
+    assert build_extract_pipeline(read_deduped(paths), ocr=False).count() == n_unique
+    assert build_extract_pipeline(rd.read_parquet(paths), ocr=False).count() == n_rows
 
 
 def test_scan_duplicates_counts_rows(ray_session, corpus_files):
@@ -73,7 +70,7 @@ def test_scan_duplicates_counts_rows(ray_session, corpus_files):
     _, paths = corpus_files
     for files in (paths, paths[:1]):
         dup_ids, _, rows = scan_duplicates(files)
-        assert bool(dup_ids) == (files == paths)
+        assert (len(dup_ids) > 0) == (files == paths)
         assert rows == {f: pq.read_metadata(f).num_rows for f in files}
 
 
@@ -81,11 +78,13 @@ def test_scan_duplicates_counts_rows(ray_session, corpus_files):
 def test_scan_duplicates_matches_brute_force_count(
     ray_session, tmp_path, monkeypatch, fan_in
 ):
-    """The dup scan equals a brute-force ``Counter`` over all files, with
-    cross-file duplicates, repeats inside one file and an empty file; at
-    fan-in 2 its 9 files make 5 group tasks and 3 bucket tasks. It
-    launches exactly groups + buckets tasks and reads no file on the
-    driver; with no duplicate it returns no dup ids."""
+    """The dup scan equals a brute-force count over all files, with
+    cross-file duplicates, repeats inside one file and an empty file: the
+    duplicated ids as one Arrow array, and per file the row offsets of
+    every copy but the first in (file, row) order; at fan-in 2 its 9
+    files make 5 group tasks and 3 bucket tasks. It launches exactly
+    groups + buckets tasks and reads no file on the driver; with no
+    duplicate it returns no dup ids and no offsets."""
     import math
     from collections import Counter
 
@@ -103,10 +102,12 @@ def test_scan_duplicates_matches_brute_force_count(
     per_file = {p: Counter(t.column("doc_id").to_pylist()) for p, t in zip(paths, parts)}
     total = sum(per_file.values(), Counter())
     want_ids = {d for d, c in total.items() if c > 1}
-    want_files = {
-        p: held for p, cnt in per_file.items()
-        if (held := {d: c for d, c in cnt.items() if d in want_ids})
-    }
+    seen, want_drop = set(), {}
+    for p, t in zip(paths, parts):
+        for row, d in enumerate(t.column("doc_id").to_pylist()):
+            if d in seen:
+                want_drop.setdefault(p, []).append(row)
+            seen.add(d)
     assert want_ids and any(c > 1 for c in per_file[paths[-1]].values())
 
     launched = []
@@ -129,9 +130,10 @@ def test_scan_duplicates_matches_brute_force_count(
     monkeypatch.setattr(ep, "_scan_group", Spy(ep._scan_group, "group"))
     monkeypatch.setattr(ep, "_count_bucket", Spy(ep._count_bucket, "bucket"))
 
-    dup_ids, file_dups, rows = ep.scan_duplicates(paths)
-    assert dup_ids == want_ids
-    assert file_dups == want_files
+    dup_ids, drop, rows = ep.scan_duplicates(paths)
+    assert isinstance(dup_ids, pa.Array)
+    assert sorted(dup_ids.to_pylist()) == sorted(want_ids)
+    assert {p: offsets.tolist() for p, offsets in drop.items()} == want_drop
     assert rows == {p: t.num_rows for p, t in zip(paths, parts)}
     groups = math.ceil(len(paths) / fan_in)
     buckets = math.ceil(groups / fan_in)
@@ -140,22 +142,22 @@ def test_scan_duplicates_matches_brute_force_count(
     assert reads == []
 
     launched.clear()
-    assert ep.scan_duplicates(paths[:2]) == (set(), {}, {p: 17 for p in paths[:2]})
+    dup_ids, drop, rows = ep.scan_duplicates(paths[:2])
+    assert (len(dup_ids), drop, rows) == (0, {}, {p: 17 for p in paths[:2]})
     assert len(launched) == 2
 
 
 def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
-    """run_partitioned (fused per-partition chain + owned winners as a
-    side file, the job path; ``job_kw`` go to it alone) is row-identical to
-    build_extract_pipeline's unrouted Dataset.union topology at every
-    partition size, with the jobs table, OCR on and cross-partition dups;
-    exactly the partitions that own a duplicated id hold
-    ``winners.parquet``."""
+    """run_partitioned (the job path's fused waves; ``job_kw`` go to it
+    alone) is row-identical to build_extract_pipeline over
+    ``read_deduped`` at every partition size, with the jobs table, OCR on
+    and cross-partition dups; no side file is written, and each
+    duplicated id's row sits in the partition of its first copy's file."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from pdfz_ray.pipelines.extract_pipeline import (
         build_extract_pipeline,
+        read_deduped,
         run_partitioned,
     )
 
@@ -167,9 +169,7 @@ def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
         return sorted(t.to_pylist(), key=lambda r: r["doc_id"])
 
     d_union = str(tmp_path / "out_union")
-    build_extract_pipeline(
-        rd.read_parquet(paths), jobs, input_files=paths, ocr=True
-    ).write_parquet(d_union)
+    build_extract_pipeline(read_deduped(paths), jobs, ocr=True).write_parquet(d_union)
     want = rows(d_union)
     assert len(want) == len(set(tbl.column("doc_id").to_pylist()))
 
@@ -188,25 +188,37 @@ def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
             paths, out_dir, jobs, partition_size=size, ocr=True, **job_kw
         )
         assert rows(out_dir) == want, size
-        owners = {first_file[d] // size for d in seen_twice}
-        with_winners = {
-            pid
-            for pid, d in enumerate(res["output_dirs"])
+        assert not [
+            d for d in res["output_dirs"]
             if os.path.exists(os.path.join(d, "winners.parquet"))
+        ], size
+        pid_of = {d: pid for pid, d in enumerate(res["output_dirs"])}
+        where = {
+            d: pid_of[os.path.dirname(f)]
+            for f in res["output_files"]
+            for d in pq.read_table(f, columns=["doc_id"]).column("doc_id").to_pylist()
         }
-        assert with_winners == owners, size
+        assert {d: where[d] for d in seen_twice} == {
+            d: first_file[d] // size for d in seen_twice
+        }, size
 
 
-def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path):
+def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path, monkeypatch):
     """Copies of a doc_id that differ in their spans: both entry points
     keep the earliest copy in (caller file order, row order) — files
     passed as z, a, m, not lexicographically, with a repeat inside a file
-    — and equal the oracle over the rows in that order."""
-    import ray.data as rd
+    — and equal the oracle over the rows in that order. The job path runs
+    at partition sizes 1, 2 and all files, each also with ``batch_size`` 4
+    (each id's first copy and its in-file repeat then sit in different
+    slices of one file) and with skew routing on top of that. The driver
+    makes no parquet read while either entry point runs: the scan reads in
+    its tasks, and the first copies stream like every other row."""
+    import pyarrow.dataset as pads
 
     from pdfz_ray.corpus import make_document
     from pdfz_ray.pipelines.extract_pipeline import (
         build_extract_pipeline,
+        read_deduped,
         run_partitioned,
     )
     from pdfz_ray.schema import DOCUMENTS_SCHEMA
@@ -244,18 +256,45 @@ def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path):
         pq.write_table(tbl, paths[-1])
     want = oracle(order)
     assert want != oracle(sorted(order))
+    # with skew_threshold 5, doc-x's first copy is light and doc-y's heavy
+    spans = {r["doc_id"]: len(r["spans"]) for r in (files["z"][6], files["a"][2])}
+    assert spans[x] <= 5 < spans[y]
 
-    def flat(ds):
-        out = ds.map_batches(flatten_output, batch_format="pyarrow")
-        return sorted(tuple(r.values()) for r in out.take_all())
+    reads = []
 
-    ds = rd.read_parquet(paths)
-    assert flat(build_extract_pipeline(ds, input_files=paths, ocr=False)) == want
-    for size in (1, 2):
-        res = run_partitioned(
-            paths, str(tmp_path / f"out{size}"), partition_size=size, ocr=False
-        )
-        assert flat(rd.read_parquet(res["output_files"])) == want, size
+    def spy(name, fn):
+        def read(*a, **k):
+            reads.append(name)
+            return fn(*a, **k)
+
+        return read
+
+    monkeypatch.setattr(pq, "read_table", spy("read_table", pq.read_table))
+    monkeypatch.setattr(pq, "ParquetFile", spy("ParquetFile", pq.ParquetFile))
+    monkeypatch.setattr(pads, "dataset", spy("dataset", pads.dataset))
+
+    def flat(out):
+        return sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
+
+    out = build_extract_pipeline(read_deduped(paths), ocr=False)
+    got = out.map_batches(flatten_output, batch_format="pyarrow").take_all()
+    assert reads == []
+    assert sorted(tuple(r.values()) for r in got) == want
+    variants = (
+        {},
+        {"batch_size": 4},
+        {"batch_size": 4, "skew_threshold": 5, "monster_batch_size": 2},
+    )
+    for size in (1, 2, len(paths)):
+        for k, kw in enumerate(variants):
+            reads.clear()
+            res = run_partitioned(
+                paths, str(tmp_path / f"out{size}-{k}"), partition_size=size,
+                ocr=False, **kw,
+            )
+            assert reads == [], (size, kw)
+            out = pa.concat_tables([pq.read_table(f) for f in res["output_files"]])
+            assert flat(out) == want, (size, kw)
 
 
 def test_run_partitioned_matches_union_topology(ray_session, corpus_files, tmp_path):
@@ -704,9 +743,8 @@ def test_large_file_reaches_extract_in_batch_slices(ray_session, tmp_path, monke
         paths, str(tmp_path / "out"), partition_size=4, batch_size=50, ocr=False
     )
     sizes = [int(n) for n in calls.read_text().split()]
-    # 218 rows less both copies of the 18 duplicated ids (their winners
-    # are extracted on the driver)
-    assert sum(sizes) == 218 - 2 * 18
+    # 218 rows less the later copies of the 18 duplicated ids
+    assert sum(sizes) == 218 - 18
     assert max(sizes) <= 50 and len(sizes) == 4, sizes
     out = pa.concat_tables([pq.read_table(f) for f in res["output_files"]])
     got = sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
@@ -804,8 +842,8 @@ def test_unrouted_wave_is_one_task_per_group(ray_session, corpus_files, tmp_path
 
 
 def test_job_cli_rejects_sizes_below_one(tmp_path, monkeypatch, capsys):
-    """``--partition-size`` and ``--batch-size`` below 1 are usage errors
-    (exit code 2) before Ray starts."""
+    """``--partition-size``, ``--batch-size``, ``--shards`` and ``--budget``
+    below 1 are usage errors (exit code 2) before Ray starts."""
     import ray
 
     from pdfz_ray import job
@@ -816,7 +854,7 @@ def test_job_cli_rejects_sizes_below_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ray, "init", boom)
     src = str(tmp_path / "in.parquet")
     pq.write_table(make_documents(4), src)
-    for flag in ("--partition-size", "--batch-size"):
+    for flag in ("--partition-size", "--batch-size", "--shards", "--budget"):
         for value in ("0", "-1"):
             with pytest.raises(SystemExit) as err:
                 job.main(["--input", src, "--out", str(tmp_path / "out"), flag, value])
@@ -827,15 +865,17 @@ def test_job_cli_rejects_sizes_below_one(tmp_path, monkeypatch, capsys):
 def test_wave_plan_is_logged(ray_session, corpus_files, tmp_path, caplog):
     """One DEBUG record per wave on the ``pdfz_ray`` logger, which the
     package leaves silent (no handler, no level); each manifest row names
-    its wave."""
+    its wave, and the records' dropped later copies add up to the
+    corpus's."""
     import json
     import logging
+    import re
 
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
 
     pkg = logging.getLogger("pdfz_ray")
     assert pkg.handlers == [] and pkg.level == logging.NOTSET
-    _, paths = corpus_files
+    tbl, paths = corpus_files
     caplog.set_level(logging.DEBUG, logger="pdfz_ray")
     res = run_partitioned(paths, str(tmp_path / "out"), partition_size=1, ocr=False)
     msgs = [r.getMessage() for r in caplog.records if r.name.startswith("pdfz_ray")]
@@ -843,7 +883,9 @@ def test_wave_plan_is_logged(ray_session, corpus_files, tmp_path, caplog):
     assert msgs[0].startswith("wave 0: partitions [0], 1 files, ")
     assert msgs[1].startswith("wave 1: partitions [1, 2], 2 files, ")
     assert msgs[2].startswith("wave 2: partitions [3], 1 files, ")
-    assert all("dup ids dropped" in m and "owned winners" in m for m in msgs)
+    assert all("later copies dropped" in m and "winners" not in m for m in msgs)
+    dropped = [int(re.search(r"(\d+) later copies dropped", m).group(1)) for m in msgs]
+    assert sum(dropped) == tbl.num_rows - len(set(tbl.column("doc_id").to_pylist()))
     waves = {
         r["partition_id"]: r["wave"] for r in map(json.loads, open(res["manifest"]))
     }
@@ -1142,8 +1184,6 @@ def test_pipeline_survives_transient_task_failures(ray_session, tmp_path):
     exactly-once OUTPUT: a stage that crashes on its first N invocations
     (worker-crash simulation via a shared poison counter) still yields
     byte-identical results."""
-    import ray.data as rd
-
     import ray
 
     tbl, paths = None, None
@@ -1174,15 +1214,15 @@ def test_pipeline_survives_transient_task_failures(ray_session, tmp_path):
             raise RuntimeError("injected transient failure")
         return batch
 
-    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
+    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline, read_deduped
     from pdfz_ray.stages.extract import flatten_output
 
     # retry_exceptions opts application errors into Ray's task retries
     # (system/worker failures retry by default)
-    ds = rd.read_parquet(paths).map_batches(
+    ds = read_deduped(paths).map_batches(
         flaky, batch_format="pyarrow", retry_exceptions=True, max_retries=4
     )
-    out = build_extract_pipeline(ds, input_files=paths, ocr=False)
+    out = build_extract_pipeline(ds, ocr=False)
     flat = out.map_batches(flatten_output, batch_format="pyarrow")
     got = sorted(tuple(r.values()) for r in flat.take_all())
     want = sorted(tuple(r.values()) for r in _oracle_flat(tbl))
@@ -1210,9 +1250,9 @@ def test_incremental_append_runs_only_new_partitions(ray_session, tmp_path):
     assert res1["partitions_run"] == [0, 1]
 
     # append two more files; alignment keeps pid 0/1 chunk hashes stable.
-    # The dup tail lives in the appended files: cross-partition ownership
-    # assigns winners to the (already committed) original partitions, so
-    # the new partitions drop the dup rows and first-wins still holds.
+    # The dup tail lives in the appended files: the first copies are in
+    # the (already committed) original partitions, so the new partitions
+    # drop their later copies and first-wins still holds.
     res2 = run_partitioned(paths, out_dir, partition_size=1, ocr=False)
     assert res2["partitions_skipped"] == [0, 1]
     assert res2["partitions_run"] == [2, 3]
