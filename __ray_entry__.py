@@ -466,16 +466,18 @@ def _q_knn_ivf(sf_dir: str):
 
 
 def _q_sessionize(sf_dir: str):
-    from pdfz_ray.functions.windows import sessionize
+    from pdfz_ray.functions.windows import sessionize_bucketed
 
-    return sessionize(sf_dir, gap_minutes=30)
+    return sessionize_bucketed(sf_dir, gap_minutes=30)
 
 
 def _q_sessionize_bucketed(sf_dir: str):
-    """Bounded-group-size scale path (hash-bucket shuffle key)."""
+    """``sessionize`` at a bucket count that is not a power of two (the
+    modulo shuffle key, not the bit mask): the sessions do not depend on
+    the bucket count."""
     from pdfz_ray.functions.windows import sessionize_bucketed
 
-    return sessionize_bucketed(sf_dir, gap_minutes=30, buckets=16)
+    return sessionize_bucketed(sf_dir, gap_minutes=30, buckets=5)
 
 
 def _q_running_event_counts(sf_dir: str):
@@ -1857,7 +1859,7 @@ FROM media_ok
     }
     # the distributed label-propagation variant must equal the union-find result
     sqls["neardup_groups_dist"] = sqls["neardup_groups"]
-    # the hash-bucketed scale path must equal per-user sessionization
+    # sessionization at another bucket count: the same sessions
     sqls["sessionize_bucketed"] = sqls["sessionize"]
     # at 16 hash tables the LSH top-k equals brute force on this corpus
     sqls["knn_lsh"] = sqls["knn_brute"]

@@ -15,33 +15,26 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..oracle import CORRUPT_SUFFIX, DEFAULT_JOB, Job
+from ..oracle import CORRUPT_SUFFIX
+from ..stages.extract import _job_arrays
 
 
-def doc_progress_batch(
-    batch: pa.Table, jobs: dict[str, Job] | None = None
-) -> pa.Table:
+def doc_progress_batch(batch: pa.Table, jobs: pa.Table | None = None) -> pa.Table:
     """Per-doc final progress percent, reference semantics.
 
     Output: (doc_id, final_progress, pages_done, pages_total) where
     final_progress = floor(max_processed_page_num * 100 / page_limit);
-    failed (corrupt) docs report 0.
+    failed (corrupt) docs report 0. ``jobs``: the lookup table of
+    ``jobs.jobs_table_to_lookup``, resolved like ``extract_batch``'s (None:
+    every doc gets the default job).
     """
-    jobs = jobs or {}
     n = batch.num_rows
     doc_ids = batch.column("doc_id").combine_chunks()
     spans = batch.column("spans").combine_chunks()
     corrupt = pc.ends_with(doc_ids, pattern=CORRUPT_SUFFIX).to_numpy(
         zero_copy_only=False
     )
-
-    ids = doc_ids.to_pylist()
-    start = np.fromiter(
-        (jobs.get(d, DEFAULT_JOB).start_page for d in ids), np.int64, count=n
-    )
-    count = np.fromiter(
-        (jobs.get(d, DEFAULT_JOB).page_count for d in ids), np.int64, count=n
-    )
+    start, count, _ = _job_arrays(doc_ids, jobs)
 
     flat = spans.flatten()
     last_page = np.zeros(n, np.int64)

@@ -16,28 +16,18 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..oracle import POLY_BASE
+
 # fixed stopword list shared with the SQL oracles (keep in sync!)
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "on", "for", "data")
 PUNCT_RE = r"[.,;:!?]"
 TOKEN_RE = r"\S+"
 
-# polynomial-hash base for the 64-bit content keys (arithmetic mod 2^64 —
-# numpy uint64 wraparound IS the modulus, which is what makes the kernels
-# vectorizable; the round-1 mod-(2^61-1) variant forced a per-byte Python
+# the 64-bit content keys are polynomial hashes mod 2^64 in base
+# ``POLY_BASE``, shared with their reference loops in the oracle: numpy
+# uint64 wraparound IS the modulus, which is what makes the kernels
+# vectorizable (the round-1 mod-(2^61-1) variant forced a per-byte Python
 # loop, the classic row-at-a-time scale-killer)
-POLY_BASE = 1_000_003
-_U64 = 0xFFFFFFFFFFFFFFFF
-
-
-def rolling64_ref(t: str, base: int = POLY_BASE) -> int:
-    """Pure-Python byte-loop reference for the 64-bit polynomial hash
-    (h = Σ byte_i · B^(n−1−i) mod 2^64, returned as signed int64). Golden
-    fixtures are generated with THIS implementation; the vectorized
-    ``poly64_array`` below must agree bit-for-bit."""
-    h = 0
-    for ch in t.encode():
-        h = (h * base + ch) & _U64
-    return h - (1 << 64) if h >= (1 << 63) else h
 
 
 def _utf8_view(arr) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +56,8 @@ def _pow_table(n: int, base: int = POLY_BASE) -> np.ndarray:
 def poly64_array(arr, base: int = POLY_BASE) -> np.ndarray:
     """Vectorized whole-string polynomial hash of every element of a utf8
     array → uint64[n]. One multiply + one segmented wrap-sum over the
-    array's raw byte buffer — no Python per row, no per-byte loop."""
+    array's raw byte buffer — no Python per row, no per-byte loop. Agrees
+    bit-for-bit with the reference loop ``oracle.rolling64_ref``."""
     data, off = _utf8_view(arr)
     lens = off[1:] - off[:-1]
     n = len(lens)
@@ -141,8 +132,8 @@ def quality_filter_batch(
 def fingerprint_batch(batch: pa.Table) -> pa.Table:
     """Document fingerprint: md5 of whitespace-collapsed lower-cased text
     (SQL-exact via DuckDB md5()), plus a 64-bit polynomial content key
-    (vectorized mod-2^64 hash; checked against the ``rolling64_ref``
-    golden fixture)."""
+    (vectorized mod-2^64 hash; checked against the golden fixture of
+    ``oracle.rolling64_ref``)."""
     low = pc.utf8_lower(pc.fill_null(batch.column("text"), ""))
     norm = pc.replace_substring_regex(low, pattern=r"\s+", replacement=" ")
     norm_arr = norm.combine_chunks() if isinstance(norm, pa.ChunkedArray) else norm
@@ -255,38 +246,11 @@ class HashEmbedder:
         )
 
 
-def winnow_fingerprints(text: str, k: int = 5, w: int = 4) -> list[int]:
-    """Pure-Python winnowing reference (Schleimer, Wilkerson, Aiken 2003):
-    polynomial hashes of byte k-grams of the lower-cased text, one minimum
-    per sliding window of w hashes (rightmost min on ties) — guarantees any
-    match of length >= w + k - 1 bytes shares a fingerprint. Golden fixtures
-    use THIS loop implementation; the vectorized ``winnow_doc`` must agree."""
-    b = (text or "").lower().encode()
-    n = len(b)
-    if n < k:
-        return []
-    hashes = []
-    for i in range(n - k + 1):
-        h = 0
-        for byte in b[i : i + k]:
-            h = (h * POLY_BASE + byte) & _U64
-        hashes.append(h - (1 << 64) if h >= (1 << 63) else h)
-    fps: list[int] = []
-    last = -1
-    for i in range(max(len(hashes) - w + 1, 1)):
-        win = hashes[i : i + w]
-        m = min(win)
-        # rightmost occurrence of the min in the window
-        j = i + len(win) - 1 - win[::-1].index(m)
-        if j != last:
-            fps.append(hashes[j])
-            last = j
-    return fps
-
-
 def winnow_doc(b: np.ndarray, k: int, w: int, pows_k: np.ndarray) -> np.ndarray:
     """Vectorized winnowing of one document's byte view → int64 fingerprint
-    positions-deduped array. ``pows_k`` = [B^(k−1) ... B^0]."""
+    positions-deduped array. ``pows_k`` = [B^(k−1) ... B^0]. Agrees with
+    the reference loop ``oracle.winnow_fingerprints`` that generates the
+    golden fixtures."""
     n = len(b)
     if n < k:
         return np.zeros(0, np.int64)

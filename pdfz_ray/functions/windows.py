@@ -2,10 +2,11 @@
 
 Ray Data has no event-time windows/watermarks; per the streaming-batch
 pattern the log is partitioned by key and windowing runs inside
-``groupby(key).map_groups`` over ts-sorted groups (ordering assumption:
-one group = one user's complete history — guaranteed by the hash shuffle).
-At 100 TB the groupby key would be ``hash(user) % B`` buckets with
-per-bucket pandas windowing — same code shape, bounded group size.
+``groupby(key).map_groups``. The per-user windows (sessions, running
+counts, the as-of join) key on ``user_id % B`` buckets, not on the user,
+so a group's size is bounded; a bucket holds every event of its users
+(guaranteed by the hash shuffle) and is windowed by one vectorized pandas
+pass over a (user, ts) sort.
 
 All outputs are integer/timestamp-valued so the DuckDB oracles hash
 exactly (no float accumulation).
@@ -48,42 +49,6 @@ def _add_user_bucket(ds: "ray.data.Dataset", buckets: int) -> "ray.data.Dataset"
     return ds.map_batches(add_bucket, batch_format="pyarrow")
 
 
-def sessionize_ds(sf_dir: str, gap_minutes: int = 30) -> "ray.data.Dataset":
-    """Session = maximal run of a user's events with gaps <= gap_minutes.
-
-    Output: (user_id, session_id, n_events, start_ts, end_ts); session_id
-    is the per-user 1-based session index in time order.
-
-    PRODUCTION variant: returns the Dataset (per-user groups — prefer
-    :func:`sessionize_bucketed_ds` at scale for bounded group sizes).
-    """
-    gap = pd.Timedelta(minutes=gap_minutes)
-
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        new = (g["ts"].diff() > gap).cumsum()
-        out = (
-            g.assign(session_id=new + 1)
-            .groupby("session_id", as_index=False)
-            .agg(
-                user_id=("user_id", "first"),
-                n_events=("ts", "size"),
-                start_ts=("ts", "min"),
-                end_ts=("ts", "max"),
-            )
-        )
-        return out[["user_id", "session_id", "n_events", "start_ts", "end_ts"]]
-
-    ds = _events(sf_dir, ["event_id", "user_id", "ts"])
-    return ds.groupby("user_id").map_groups(per_user, batch_format="pandas")
-
-
-def sessionize(sf_dir: str, gap_minutes: int = 30) -> pd.DataFrame:
-    """Collecting wrapper over :func:`sessionize_ds` for the
-    query-comparison boundary."""
-    return sessionize_ds(sf_dir, gap_minutes).to_pandas()
-
-
 def _drop_bucket_col(batch: pa.Table) -> pa.Table:
     """Data-plane drop of the shuffle-key column, so production variants
     never ship it downstream (and never collect to drop it)."""
@@ -93,13 +58,16 @@ def _drop_bucket_col(batch: pa.Table) -> pa.Table:
 def sessionize_bucketed_ds(
     sf_dir: str, gap_minutes: int = 30, buckets: int = 16
 ) -> "ray.data.Dataset":
-    """The bounded-group-size scale path for ``sessionize``: the shuffle
-    key is ``user_id % buckets`` (bounded cardinality AND bounded skew —
-    a single viral user can't blow up one group beyond its bucket), and
-    the windowing inside each bucket is fully vectorized pandas over a
-    (user, ts) sort: global segment ids from break flags, one aggregate,
-    then a per-user cumcount for the 1-based session index. Identical
-    output (and oracle) to ``sessionize``.
+    """Session = maximal run of a user's events with gaps <= gap_minutes.
+
+    Output: (user_id, session_id, n_events, start_ts, end_ts); session_id
+    is the per-user 1-based session index in time order.
+
+    The shuffle key is ``user_id % buckets`` (bounded cardinality AND
+    bounded skew — a single viral user can't blow up one group beyond its
+    bucket), and the windowing inside each bucket is fully vectorized
+    pandas over a (user, ts) sort: global segment ids from break flags,
+    one aggregate, then a per-user cumcount for the 1-based session index.
 
     PRODUCTION variant (VERDICT r4 next-round #6): returns the Dataset —
     consume with ``write_parquet`` / ``iter_batches`` / an aggregate; the

@@ -16,7 +16,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .oracle import DEFAULT_ENGINE, VALID_ENGINES, Job
+from .oracle import DEFAULT_ENGINE, VALID_ENGINES
 
 
 def normalize_model(model: str | None) -> str | None:
@@ -32,7 +32,7 @@ def validate_engine(engine: str) -> bool:
     return engine.lower() in VALID_ENGINES
 
 
-def jobs_table_to_lookup(jobs: pa.Table | dict[str, Job] | None) -> pa.Table | None:
+def jobs_table_to_lookup(jobs: pa.Table | None) -> pa.Table | None:
     """The broadcastable jobs lookup: one Arrow table with a unique
     ``doc_id`` and its ``start_page`` (int64), ``page_count`` (int64) and
     ``engine_ok`` (bool) columns, or None for no jobs.
@@ -43,16 +43,8 @@ def jobs_table_to_lookup(jobs: pa.Table | dict[str, Job] | None) -> pa.Table | N
     column takes its default. ``engine_ok`` is ``validate_engine`` called
     once per distinct engine string and mapped back, so it matches
     Python's ``str.lower`` exactly (Arrow's ``utf8_lower`` does not, on
-    ``İ`` say). ``model`` is not carried: the kernel never reads it. A
-    ``dict[str, Job]`` is taken as the jobs table of its items.
+    ``İ`` say). ``model`` is not carried: the kernel never reads it.
     """
-    if isinstance(jobs, dict):
-        jobs = pa.table({
-            "doc_id": pa.array(list(jobs), pa.string()),
-            "start_page": [j.start_page for j in jobs.values()],
-            "page_count": [j.page_count for j in jobs.values()],
-            "engine": pa.array([j.engine for j in jobs.values()], pa.string()),
-        })
     if jobs is None or jobs.num_rows == 0:
         return None
     row = pa.array(np.arange(jobs.num_rows))

@@ -177,6 +177,56 @@ def flatten_results(results: list[DocResult]) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
+# Content-hash references: byte loops that generate the text golden fixtures
+# (sources/fixtures.py); the vectorized kernels in functions/text.py import
+# POLY_BASE from here and must agree with them bit-for-bit
+# ---------------------------------------------------------------------------
+
+# polynomial-hash base of the 64-bit content keys (arithmetic mod 2^64)
+POLY_BASE = 1_000_003
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def rolling64_ref(t: str, base: int = POLY_BASE) -> int:
+    """Byte-loop reference for the 64-bit polynomial hash
+    (h = Σ byte_i · B^(n−1−i) mod 2^64, returned as signed int64); the
+    vectorized ``functions.text.poly64_array`` must agree bit-for-bit."""
+    h = 0
+    for ch in t.encode():
+        h = (h * base + ch) & _U64
+    return h - (1 << 64) if h >= (1 << 63) else h
+
+
+def winnow_fingerprints(text: str, k: int = 5, w: int = 4) -> list[int]:
+    """Winnowing reference (Schleimer, Wilkerson, Aiken 2003): polynomial
+    hashes of byte k-grams of the lower-cased text, one minimum per
+    sliding window of w hashes (rightmost min on ties) — guarantees any
+    match of length >= w + k - 1 bytes shares a fingerprint. The
+    vectorized ``functions.text.winnow_doc`` must agree."""
+    b = (text or "").lower().encode()
+    n = len(b)
+    if n < k:
+        return []
+    hashes = []
+    for i in range(n - k + 1):
+        h = 0
+        for byte in b[i : i + k]:
+            h = (h * POLY_BASE + byte) & _U64
+        hashes.append(h - (1 << 64) if h >= (1 << 63) else h)
+    fps: list[int] = []
+    last = -1
+    for i in range(max(len(hashes) - w + 1, 1)):
+        win = hashes[i : i + w]
+        m = min(win)
+        # rightmost occurrence of the min in the window
+        j = i + len(win) - 1 - win[::-1].index(m)
+        if j != last:
+            fps.append(hashes[j])
+            last = j
+    return fps
+
+
+# ---------------------------------------------------------------------------
 # HTML main-content reference (independent implementation of the block
 # model in pdfz_ray/stages/html.py — regex token stream + explicit stack,
 # no html.parser; the two are differentially checked via the golden

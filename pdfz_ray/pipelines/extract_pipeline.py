@@ -12,7 +12,8 @@ and every later copy is dropped by its row offset as its file is read.
 ``scan_duplicates`` picks those offsets from the input files and
 ``_read_group`` reads a group of files less them. The two entry points
 share that reader and the per-batch extract UDF (``_extractor``: extract,
-one metrics flush per batch, the carried ``path`` column):
+OCR of the batch's media spans in the same task, one metrics flush per
+batch, the carried ``path`` column):
 
 - ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
   once per run: one dup scan gives the offsets to drop and every file's
@@ -25,8 +26,9 @@ one metrics flush per batch, the carried ``path`` column):
   each batch by partition into the partitions' temp dirs and returns the
   manifest counts;
 - ``build_extract_pipeline`` turns a caller's documents Dataset into a
-  lazy extract → OCR Dataset (OCR as tasks, or in an actor pool). A caller
-  that wants exact dedup passes ``read_deduped(paths)``.
+  lazy Dataset of one extract → OCR UDF, or of extract followed by an OCR
+  actor pool (``ocr_concurrency``). A caller that wants exact dedup passes
+  ``read_deduped(paths)``.
 
 Scale notes (the 100 TB design points):
 - exact dedup never shuffles payloads and builds nothing per id on the
@@ -42,11 +44,12 @@ Scale notes (the 100 TB design points):
   hashes the whole lookup's doc_ids anew: about 15 ms per 2,048-row batch
   at 10^5 jobs rows and 0.25 s at 10^6, on one core
   (``scripts/stress.py plan``);
-- ``build_extract_pipeline``'s OCR stage can run as an actor pool sized
-  independently of the parse stage so a slow model can't idle the cheap
-  extract tasks (the reference's shared single Ollama is exactly this
-  bottleneck, docker-compose.yml:86-98); the job path runs OCR in the
-  extract task with a per-worker engine cache;
+- OCR runs in the extract task with a per-worker engine cache, as the
+  reference's ``process_page`` OCRs each image in place; for a heavy model
+  ``build_extract_pipeline`` can instead run it as an actor pool sized
+  independently of the extract tasks, so a slow model can't idle them
+  (the reference's shared single Ollama is exactly this bottleneck,
+  docker-compose.yml:86-98);
 - a read task reads a group of files of at most ``batch_size`` rows
   in total, or one larger file in slices of ``batch_size`` rows, so its
   memory is bounded by the batch, not by the file; the tasks of a wave
@@ -72,7 +75,6 @@ import ray
 import ray.data
 
 from ..jobs import jobs_table_to_lookup
-from ..oracle import Job
 from ..stages.engines import OcrStage, ocr_task
 from ..stages.extract import extract_batch, flatten_output
 from ..state.manifest import Manifest
@@ -82,6 +84,9 @@ log = logging.getLogger(__name__)
 
 # files per scan group task, and scan groups per hash bucket
 _FAN_IN = 32
+
+# rows per heavy-stage block of a routed wave (see ``_wave_chain``)
+_MONSTER_BATCH = 16
 
 
 @ray.remote(num_cpus=1)
@@ -194,19 +199,27 @@ _COUNTS = pa.schema(
 )
 
 
-def _extractor(jobs_ref: "ray.ObjectRef | None", ocr: bool, metrics: str | None):
+def _extractor(
+    jobs_ref: "ray.ObjectRef | None", ocr: bool, ocr_engine: str | None,
+    ocr_model: str | None, metrics: str | None = None,
+):
     """Extract UDF of both chains. ``jobs_ref`` is ``ray.put`` of the
     Arrow jobs lookup (None for no jobs), made once by the caller and read
-    back zero-copy per batch;
-    a ``path`` column (each row's source file) rides along. ``metrics``:
-    name of a live MetricsActor (state/metrics.py), sent ONE
-    fire-and-forget counter call per batch, pollable mid-run via
-    ``live_progress`` (the reference polled per-page Redis writes, G2)."""
+    back zero-copy per batch. With ``ocr`` the batch's media payloads are
+    emitted and OCR'd in the same call by ``ocr_task`` (the engine cached
+    per worker), unless ``ocr_engine`` is None: then the payloads are left
+    for an ``OcrStage`` actor pool downstream. A ``path`` column (each
+    row's source file) rides along. ``metrics``: name of a live
+    MetricsActor (state/metrics.py), sent ONE fire-and-forget counter call
+    per batch, pollable mid-run via ``live_progress`` (the reference
+    polled per-page Redis writes, G2)."""
 
     def extract(batch: pa.Table) -> pa.Table:
         lookup = ray.get(jobs_ref) if jobs_ref is not None else None
         out = extract_batch(batch, lookup, emit_payloads=ocr)
         _report_metrics(out, metrics)
+        if ocr and ocr_engine is not None:
+            out = ocr_task(out, engine=ocr_engine, model=ocr_model)
         if "path" in batch.column_names:
             out = out.append_column("path", batch.column("path"))
         return out
@@ -216,41 +229,38 @@ def _extractor(jobs_ref: "ray.ObjectRef | None", ocr: bool, metrics: str | None)
 
 def build_extract_pipeline(
     ds: "ray.data.Dataset",
-    jobs: pa.Table | dict[str, Job] | None = None,
+    jobs: pa.Table | None = None,
     *,
     ocr: bool = True,
     ocr_engine: str = "tesseract",
     ocr_model: str | None = None,
     ocr_concurrency=None,
     batch_size: int = 1024,
-    metrics: str | None = None,
 ) -> "ray.data.Dataset":
     """documents Dataset → extraction output Dataset (lazy, streaming):
     extract → OCR over every row of ``ds``. For exact dedup pass
-    ``read_deduped(paths)`` as ``ds``.
+    ``read_deduped(paths)`` as ``ds``. ``jobs``: the jobs table (None for
+    no jobs), broadcast once as its Arrow lookup.
 
-    ``ocr_concurrency``: None (default) runs the engine as *stateless
-    tasks* with a per-worker engine cache — right when the engine is cheap
-    relative to a CPU reservation (Ray fuses the whole chain into the
-    actor pool otherwise, capping pipeline parallelism at the pool size).
-    An int/tuple creates a dedicated actor pool — right for heavy models
-    that need exclusive resources (GPUs, big weights); size it knowing the
-    upstream map fuses in. ``metrics``: see ``_extractor``.
+    ``ocr_concurrency``: None (default) OCRs each batch inside its extract
+    task, the engine cached per worker (``_extractor``), the same UDF the
+    job path runs before its writer — right when the engine is cheap
+    relative to a CPU reservation. An int/tuple instead runs OCR in a
+    dedicated ``OcrStage`` actor pool after the extract tasks — right for
+    heavy models that need exclusive resources (GPUs, big weights); size
+    it knowing the upstream map fuses in (Ray then caps the chain's
+    parallelism at the pool size).
     """
     lookup = jobs_table_to_lookup(jobs)
     out = ds.map_batches(
-        _extractor(None if lookup is None else ray.put(lookup), ocr, metrics),
+        _extractor(
+            None if lookup is None else ray.put(lookup), ocr,
+            ocr_engine if ocr_concurrency is None else None, ocr_model,
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
     )
-    if ocr and ocr_concurrency is None:
-        return out.map_batches(
-            ocr_task,
-            fn_kwargs={"engine": ocr_engine, "model": ocr_model},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    if ocr:
+    if ocr and ocr_concurrency is not None:
         return out.map_batches(
             OcrStage,
             fn_constructor_kwargs={"engine": ocr_engine, "model": ocr_model},
@@ -396,7 +406,7 @@ def _wave_chain(
     groups: list[list[str]], writer, jobs_ref: "ray.ObjectRef | None",
     drop: dict[str, np.ndarray], *,
     ocr: bool, ocr_engine: str, ocr_model: str | None, batch_size: int,
-    skew_threshold: int | None, monster_batch_size: int, metrics: str | None,
+    skew_threshold: int | None, metrics: str | None,
 ) -> "ray.data.Dataset":
     """A wave's execution: the files of ``groups`` (``_file_groups``) →
     the ``_COUNTS`` rows of what ``writer`` (a ``_partition_writer``)
@@ -408,8 +418,8 @@ def _wave_chain(
     ``drop`` lists (the later copies of duplicated ids, from
     ``scan_duplicates``), tagged with the ``path`` that ``writer`` keys
     on, and ``read_wave`` runs ``write`` on each piece of at most
-    ``batch_size`` rows. ``write`` runs extract (``_extractor``) → OCR
-    (``ocr_task``, the engine cached per worker) → ``writer``. There is no
+    ``batch_size`` rows. ``write`` runs extract → OCR (one ``_extractor``
+    call, the engine cached per worker) → ``writer``. There is no
     ``read_parquet``: its planning per execution (file stats, footer
     fetch tasks, encoding-ratio sampling tasks) and its unfused read task
     per file cost more than the kernels on a small wave (measured).
@@ -419,23 +429,20 @@ def _wave_chain(
     stage, run by ``read_wave`` on each piece in place of ``write``,
     writes the docs of at most ``skew_threshold`` spans and passes the
     heavier docs on unextracted. The re-block cuts its output into blocks
-    of ``monster_batch_size`` rows — a map operator, not an all-to-all
+    of ``_MONSTER_BATCH`` rows — a map operator, not an all-to-all
     barrier — so c monsters in one group spread over
-    ⌈c / ``monster_batch_size``⌉ heavy tasks (Ray's task granularity is
+    ⌈c / ``_MONSTER_BATCH``⌉ heavy tasks (Ray's task granularity is
     the block: ``batch_size`` does not split a block across tasks).
     The heavy stage writes those docs and passes the light stage's count
     rows through: between the stages a row is either a count row (``pid``
     set) or a heavy doc (``pid`` null).
     """
-    extract = _extractor(jobs_ref, ocr, metrics)
+    extract = _extractor(jobs_ref, ocr, ocr_engine, ocr_model, metrics)
 
     def write(docs: pa.Table) -> pa.Table:
         if not docs.num_rows:
             return _COUNTS.empty_table()
-        out = extract(docs)
-        if ocr:
-            out = ocr_task(out, engine=ocr_engine, model=ocr_model)
-        return writer(out)
+        return writer(extract(docs))
 
     def light(batch: pa.Table) -> pa.Table:
         n = pc.fill_null(pc.list_value_length(batch.column("spans")), 0)
@@ -463,8 +470,8 @@ def _wave_chain(
         return pa.concat_tables([counts.cast(_COUNTS), write(docs)])
 
     return (
-        out.repartition(target_num_rows_per_block=monster_batch_size)
-        .map_batches(heavy, batch_format="pyarrow", batch_size=monster_batch_size)
+        out.repartition(target_num_rows_per_block=_MONSTER_BATCH)
+        .map_batches(heavy, batch_format="pyarrow", batch_size=_MONSTER_BATCH)
     )
 
 
@@ -480,7 +487,7 @@ def _waves(pending: list) -> list[list]:
 def run_partitioned(
     input_paths: list[str],
     out_dir: str,
-    jobs: pa.Table | dict[str, Job] | None = None,
+    jobs: pa.Table | None = None,
     *,
     partition_size: int = 8,
     resume: bool = True,
@@ -489,7 +496,6 @@ def run_partitioned(
     ocr_model: str | None = None,
     batch_size: int = 1024,
     skew_threshold: int | None = None,
-    monster_batch_size: int = 16,
     metrics: str | None = None,
 ) -> dict:
     """Checkpoint-resumable run: input files → partitioned parquet output.
@@ -529,8 +535,7 @@ def run_partitioned(
     on the ``pdfz_ray`` logger. OCR runs in the extract task with a
     per-worker engine cache; ``metrics``: see ``_extractor``;
     ``batch_size`` (the most rows per extract call and the target rows per
-    read task), ``skew_threshold`` and ``monster_batch_size``: see
-    ``_wave_chain``.
+    read task) and ``skew_threshold``: see ``_wave_chain``.
 
     The returned ``output_dirs`` and ``output_files`` are those of this
     run's chunking.
@@ -608,8 +613,7 @@ def run_partitioned(
                 groups, _partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
                 jobs_ref, {f: drop[f] for f in files if f in drop}, ocr=ocr,
                 ocr_engine=ocr_engine, ocr_model=ocr_model, batch_size=batch_size,
-                skew_threshold=skew_threshold, monster_batch_size=monster_batch_size,
-                metrics=metrics,
+                skew_threshold=skew_threshold, metrics=metrics,
             )
             # result bundles are pulled on this thread, not on a prefetch
             # thread as in ``iter_batches``: an exception raised while

@@ -115,7 +115,7 @@ def _write_text_goldens(docs_pq: str, out_path: str) -> None:
     import pyarrow.compute as pc
 
     from ..functions.dedup import SimHasher
-    from ..functions.text import rolling64_ref, winnow_fingerprints
+    from ..oracle import rolling64_ref, winnow_fingerprints
 
     t = pq.read_table(docs_pq, columns=["doc_id", "text"])
     texts = t.column("text").to_pylist()

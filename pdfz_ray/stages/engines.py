@@ -108,11 +108,12 @@ def make_engine(engine, model: str | None = None):
     raise ValueError(f"not an engine: {engine!r}")
 
 
-# per-worker-process engine cache for task-mode OCR: gives once-per-worker
-# setup (the actor-__init__ property) without reserving CPUs for a pool —
-# see the ``ocr_concurrency`` note in
-# pipelines/extract_pipeline.build_extract_pipeline for when to prefer tasks
-# vs an actor pool; the job path always runs OCR as a task
+# per-worker-process engine cache for OCR inside the extract task (both
+# extract chains call ``ocr_task`` from their extract UDF): gives
+# once-per-worker setup (the actor-__init__ property) without reserving CPUs
+# for a pool — see the ``ocr_concurrency`` note in
+# pipelines/extract_pipeline.build_extract_pipeline for when an actor pool
+# of ``OcrStage`` is the better choice
 _ENGINE_CACHE: dict[tuple, "OcrStage"] = {}
 
 

@@ -27,8 +27,10 @@ def _first_wins(tbl: pa.Table) -> pa.Table:
     return tbl.take(pa.array(keep))
 
 
-def _assert_matches_oracle(tbl: pa.Table, jobs=None):
-    oracle = {r.doc_id: r for r in extract_corpus(tbl.to_pylist(), jobs)}
+def _assert_matches_oracle(tbl: pa.Table, jobs: pa.Table | None = None):
+    oracle = {
+        r.doc_id: r for r in extract_corpus(tbl.to_pylist(), jobs_table_to_dict(jobs))
+    }
     out = extract_batch(_first_wins(tbl), jobs_table_to_lookup(jobs))
     assert out.num_rows == len(oracle)
     for row in out.to_pylist():
@@ -46,8 +48,8 @@ def test_golden_corpus_default_jobs():
 
 def test_golden_corpus_with_window_jobs():
     tbl = make_documents(120, monster_spans=300)
-    jobs = jobs_table_to_dict(make_jobs(120))
-    assert jobs  # windowed family present
+    jobs = make_jobs(120)
+    assert jobs_table_to_dict(jobs)  # windowed family present
     _assert_matches_oracle(tbl, jobs)
 
 
@@ -140,7 +142,11 @@ def test_property_random_docs_match_oracle(docs, start, count):
     rows = [{"doc_id": f"h-{i:03d}", "spans": s} for i, s in enumerate(docs)]
     tbl = pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
     job = Job(start_page=start, page_count=count)
-    jobs = {r["doc_id"]: job for r in rows}
+    jobs = pa.table({
+        "doc_id": [r["doc_id"] for r in rows],
+        "start_page": [start] * len(rows),
+        "page_count": [count] * len(rows),
+    })
     out = extract_batch(tbl, jobs_table_to_lookup(jobs))
     for row in out.to_pylist():
         o = extract_doc(row["doc_id"], rows[int(row["doc_id"][2:])]["spans"], job)

@@ -32,7 +32,7 @@ def test_pipeline_matches_oracle(ray_session, corpus_files):
     from pdfz_ray.stages.extract import flatten_output
 
     tbl, paths = corpus_files
-    jobs = jobs_table_to_dict(make_jobs(120))
+    jobs = make_jobs(120)
     out = build_extract_pipeline(read_deduped(paths), jobs, ocr_concurrency=2)
     flat = out.map_batches(flatten_output, batch_format="pyarrow")
     got = sorted(
@@ -40,7 +40,7 @@ def test_pipeline_matches_oracle(ray_session, corpus_files):
         key=lambda t: (t[0], t[1]),
     )
     want = sorted(
-        (tuple(r.values()) for r in _oracle_flat(tbl, jobs)),
+        (tuple(r.values()) for r in _oracle_flat(tbl, jobs_table_to_dict(jobs))),
         key=lambda t: (t[0], t[1]),
     )
     assert got == want
@@ -152,7 +152,9 @@ def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
     alone) is row-identical to build_extract_pipeline over
     ``read_deduped`` at every partition size, with the jobs table, OCR on
     and cross-partition dups; no side file is written, and each
-    duplicated id's row sits in the partition of its first copy's file."""
+    duplicated id's row sits in the partition of its first copy's file.
+    build_extract_pipeline runs OCR inside its extract UDF: its executed
+    operators hold no ``ocr_task`` stage."""
     import pyarrow.dataset as pads
 
     from pdfz_ray.pipelines.extract_pipeline import (
@@ -169,7 +171,11 @@ def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
         return sorted(t.to_pylist(), key=lambda r: r["doc_id"])
 
     d_union = str(tmp_path / "out_union")
-    build_extract_pipeline(read_deduped(paths), jobs, ocr=True).write_parquet(d_union)
+    union = build_extract_pipeline(read_deduped(paths), jobs, ocr=True)
+    union.write_parquet(d_union)
+    # OCR ran inside the extract UDF, as on the job path: no OCR operator
+    stats = union.stats()
+    assert "MapBatches(extract)" in stats and "ocr_task" not in stats, stats
     want = rows(d_union)
     assert len(want) == len(set(tbl.column("doc_id").to_pylist()))
 
@@ -216,6 +222,7 @@ def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path, monkeypatch
     import pyarrow.dataset as pads
 
     from pdfz_ray.corpus import make_document
+    from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.pipelines.extract_pipeline import (
         build_extract_pipeline,
         read_deduped,
@@ -283,8 +290,9 @@ def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path, monkeypatch
     variants = (
         {},
         {"batch_size": 4},
-        {"batch_size": 4, "skew_threshold": 5, "monster_batch_size": 2},
+        {"batch_size": 4, "skew_threshold": 5},
     )
+    monkeypatch.setattr(ep, "_MONSTER_BATCH", 2)
     for size in (1, 2, len(paths)):
         for k, kw in enumerate(variants):
             reads.clear()
@@ -302,12 +310,13 @@ def test_run_partitioned_matches_union_topology(ray_session, corpus_files, tmp_p
 
 
 def test_run_partitioned_matches_union_topology_skewed(
-    ray_session, corpus_files, tmp_path
+    ray_session, corpus_files, tmp_path, monkeypatch
 ):
     """The same check with size-bucket routing (200-span monsters routed)."""
-    _check_partitioned_matches_union(
-        corpus_files, tmp_path, skew_threshold=100, monster_batch_size=4
-    )
+    from pdfz_ray.pipelines import extract_pipeline as ep
+
+    monkeypatch.setattr(ep, "_MONSTER_BATCH", 4)
+    _check_partitioned_matches_union(corpus_files, tmp_path, skew_threshold=100)
 
 
 def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
@@ -342,8 +351,9 @@ def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
         return chains[-1]
 
     monkeypatch.setattr(ep, "_wave_chain", keep_chain)
+    monkeypatch.setattr(ep, "_MONSTER_BATCH", 2)
     out_dir = str(tmp_path / "out")
-    res = ep.run_partitioned([path], out_dir, skew_threshold=100, monster_batch_size=2)
+    res = ep.run_partitioned([path], out_dir, skew_threshold=100)
 
     flat = rd.read_parquet(res["output_files"]).map_batches(
         flatten_output, batch_format="pyarrow"
@@ -797,14 +807,16 @@ def test_run_partitioned_plans_no_read_parquet(ray_session, corpus_files, tmp_pa
     the waves' reads are planned from the dup scan."""
     import ray.data as rd
 
+    from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
 
     def boom(*a, **k):
         raise AssertionError("run_partitioned planned a read_parquet")
 
     monkeypatch.setattr(rd, "read_parquet", boom)
+    monkeypatch.setattr(ep, "_MONSTER_BATCH", 4)
     _, paths = corpus_files
-    for kw in ({}, {"skew_threshold": 100, "monster_batch_size": 4}):
+    for kw in ({}, {"skew_threshold": 100}):
         res = run_partitioned(
             paths, str(tmp_path / f"out{len(kw)}"), partition_size=2, ocr=False, **kw
         )
@@ -1013,13 +1025,14 @@ def test_live_metrics_mid_run(ray_session, tmp_path):
     assert final["pages"] == sum(r["pages"] for r in rows)
 
 
-def test_skew_bucketed_pipeline_correct(ray_session, tmp_path):
+def test_skew_bucketed_pipeline_correct(ray_session, tmp_path, monkeypatch):
     """Size-bucket routing (SURVEY §7.1 M4): the job path's light stage →
     streaming re-block → heavy stage is byte-identical to the oracle, with
     a threshold between the median (≈8) and the monster (1500) spans."""
     import ray.data as rd
 
     from pdfz_ray.corpus import make_document
+    from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
     from pdfz_ray.schema import DOCUMENTS_SCHEMA
     from pdfz_ray.stages.extract import flatten_output
@@ -1035,9 +1048,9 @@ def test_skew_bucketed_pipeline_correct(ray_session, tmp_path):
     for i in range(4):
         paths.append(str(tmp_path / f"f{i}.parquet"))
         pq.write_table(skew_tbl.slice(i * per, per), paths[-1])
+    monkeypatch.setattr(ep, "_MONSTER_BATCH", 4)
     res = run_partitioned(
-        paths, str(tmp_path / "out"),
-        ocr=False, skew_threshold=100, batch_size=256, monster_batch_size=4,
+        paths, str(tmp_path / "out"), ocr=False, skew_threshold=100, batch_size=256
     )
     flat = rd.read_parquet(res["output_files"]).map_batches(
         flatten_output, batch_format="pyarrow"
@@ -1047,7 +1060,7 @@ def test_skew_bucketed_pipeline_correct(ray_session, tmp_path):
     assert got == want
 
 
-def test_skew_throughput_holds(ray_session, tmp_path):
+def test_skew_throughput_holds(ray_session, tmp_path, monkeypatch):
     """A parquet corpus where ~1% of docs hold ≥100× the median spans
     (clustered at the end, worst case for row-based blocking) keeps ≥0.8
     of the uniform corpus's spans/sec — Ray's byte-based read blocking
@@ -1060,6 +1073,7 @@ def test_skew_throughput_holds(ray_session, tmp_path):
     import pyarrow.compute as pc
 
     from pdfz_ray.corpus import make_document
+    from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
     from pdfz_ray.schema import DOCUMENTS_SCHEMA
 
@@ -1096,7 +1110,8 @@ def test_skew_throughput_holds(ray_session, tmp_path):
     run(up)  # warm the worker pool
     tu = run(up)
     ts = run(sp)
-    tr = run(sp, skew_threshold=1000, monster_batch_size=2)
+    monkeypatch.setattr(ep, "_MONSTER_BATCH", 2)
+    tr = run(sp, skew_threshold=1000)
     plain_ratio = (ss / ts) / (su / tu)
     routed_ratio = (ss / tr) / (su / tu)
     assert plain_ratio >= 0.8, f"plain skew ratio {plain_ratio:.2f}"

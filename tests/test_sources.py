@@ -97,7 +97,7 @@ def test_progress_quirk_exceeds_100():
 
 def test_progress_normal_and_corrupt():
     from pdfz_ray.functions.progress import doc_progress_batch
-    from pdfz_ray.oracle import Job
+    from pdfz_ray.jobs import jobs_table_to_lookup
 
     tbl = pa.Table.from_pylist(
         [
@@ -118,10 +118,15 @@ def test_progress_normal_and_corrupt():
     assert rows[1]["final_progress"] == 0 and rows[1]["pages_total"] == 0
     # window: start_page=3 on 4 pages → page_limit=4... kept pages {2,3,4},
     # limit=min stays 4 → processed all kept; last=4, total=4 → 100
-    rows2 = doc_progress_batch(tbl, {"d": Job(start_page=3)}).to_pylist()
+    rows2 = doc_progress_batch(
+        tbl, jobs_table_to_lookup(pa.table({"doc_id": ["d"], "start_page": [3]}))
+    ).to_pylist()
     assert rows2[0]["final_progress"] == 100
     # page_count=2 → limit 2, processed kept pages {2,3}, last=3 → 150
-    rows3 = doc_progress_batch(tbl, {"d": Job(start_page=3, page_count=2)}).to_pylist()
+    rows3 = doc_progress_batch(
+        tbl,
+        jobs_table_to_lookup(pa.table({"doc_id": ["d"], "start_page": [3], "page_count": [2]})),
+    ).to_pylist()
     assert rows3[0]["final_progress"] == 150
 
 
