@@ -26,8 +26,8 @@ FIX = "/tmp/pdfz_ray_fixtures/sf0.01"
 
 
 def entry() -> Any:
-    """Flagship: flat docs → interleaved spans → extract (+OCR actor pool)
-    → flattened span rows, on /root/testdata/sf0.001."""
+    """Flagship: flat docs → interleaved spans → extract + OCR →
+    flattened span rows, on /root/testdata/sf0.001."""
     import ray.data
 
     from pdfz_ray.pipelines.extract_pipeline import (
@@ -40,7 +40,7 @@ def entry() -> Any:
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
     )
     docs = ds.map_batches(interleave_documents, batch_format="pyarrow")
-    out = build_extract_pipeline(docs, ocr=True, ocr_concurrency=2)
+    out = build_extract_pipeline(docs, ocr=True)
     return out.map_batches(flatten_output, batch_format="pyarrow")
 
 
@@ -59,13 +59,13 @@ def _fixture_docs(sf_dir: str):
 
 
 def _fixture_deduped(sf_dir: str):
-    """The fixture's documents with exact dedup (``read_deduped``), and
-    the fixture paths."""
-    from pdfz_ray.pipelines.extract_pipeline import read_deduped
+    """The fixture's documents as a path list, which
+    ``build_extract_pipeline`` reads with exact dedup, and the fixture
+    paths."""
     from pdfz_ray.sources.fixtures import ensure_fixtures
 
     paths = ensure_fixtures(sf_dir)
-    return read_deduped([paths["documents_spans"]]), paths
+    return [paths["documents_spans"]], paths
 
 
 def _q_extract_flat(sf_dir: str):
@@ -92,7 +92,7 @@ def _q_ocr_spans(sf_dir: str):
     from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
 
     ds, _ = _fixture_deduped(sf_dir)
-    out = build_extract_pipeline(ds, ocr=True, ocr_concurrency=2)
+    out = build_extract_pipeline(ds, ocr=True)
 
     def flatten_media_ocr(batch: pa.Table) -> pa.Table:
         done = batch.filter(pc.equal(batch.column("status"), "done"))

@@ -25,7 +25,7 @@ import sys
 
 def _at_least_one(text: str) -> int:
     """argparse type of a size: an int of at least 1 (0 rows per batch,
-    files per partition, shards or tokens per sequence has no valid
+    files per partition, CPUs, shards or tokens per sequence has no valid
     plan)."""
     try:
         n = int(text)
@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
                         "rows per read task: a wave's files are grouped "
                         "into tasks of up to this many rows, and a larger "
                         "file is read in slices of this many rows")
-    p.add_argument("--num-cpus", type=int, default=None,
+    p.add_argument("--num-cpus", type=_at_least_one, default=None,
                    help="ray.init num_cpus when starting a local session")
     p.add_argument("--metrics", default=None, metavar="NAME",
                    help="publish live progress to this named metrics actor "
@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     owns_session = not ray.is_initialized()
     if owns_session:
         kw = {"include_dashboard": False, "logging_level": "ERROR"}
-        if args.num_cpus:
+        if args.num_cpus is not None:
             kw["num_cpus"] = args.num_cpus
         ray.init(address="local", **kw)
     try:

@@ -10,10 +10,11 @@ Exact dedup has one rule, kept in the stream: of each duplicated doc_id
 the first copy in (file order, row order) is extracted like any other row,
 and every later copy is dropped by its row offset as its file is read.
 ``scan_duplicates`` picks those offsets from the input files and
-``_read_group`` reads a group of files less them. The two entry points
-share that reader and the per-batch extract UDF (``_extractor``: extract,
-OCR of the batch's media spans in the same task, one metrics flush per
-batch, the carried ``path`` column):
+``_read_group`` reads a group of files less them. Both entry points run
+one chain on input files: one task per group of files (``_group_tasks``)
+reads its group and runs the per-batch extract UDF (``_extractor``:
+extract, OCR of the batch's media spans in the same call, one metrics
+flush per batch, the carried ``path`` column) on each piece:
 
 - ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
   once per run: one dup scan gives the offsets to drop and every file's
@@ -25,10 +26,11 @@ batch, the carried ``path`` column):
   OCR → write task, with no ``read_parquet`` planning; the writer splits
   each batch by partition into the partitions' temp dirs and returns the
   manifest counts;
-- ``build_extract_pipeline`` turns a caller's documents Dataset into a
-  lazy Dataset of one extract → OCR UDF, or of extract followed by an OCR
-  actor pool (``ocr_concurrency``). A caller that wants exact dedup passes
-  ``read_deduped(paths)``.
+- ``build_extract_pipeline`` on a list of paths is the same chain without
+  the writer: one dup scan, then one read → drop → extract → OCR task per
+  group of about ``_BATCH_ROWS`` rows, as a lazy Dataset. On a caller's
+  documents Dataset (``entry()``'s interleaved flat docs) it maps the
+  extract UDF over it as is, without dedup.
 
 Scale notes (the 100 TB design points):
 - exact dedup never shuffles payloads and builds nothing per id on the
@@ -45,11 +47,10 @@ Scale notes (the 100 TB design points):
   at 10^5 jobs rows and 0.25 s at 10^6, on one core
   (``scripts/stress.py plan``);
 - OCR runs in the extract task with a per-worker engine cache, as the
-  reference's ``process_page`` OCRs each image in place; for a heavy model
-  ``build_extract_pipeline`` can instead run it as an actor pool sized
-  independently of the extract tasks, so a slow model can't idle them
-  (the reference's shared single Ollama is exactly this bottleneck,
-  docker-compose.yml:86-98);
+  reference's ``process_page`` OCRs each image in place, so OCR scales
+  with the read tasks; a caller with a heavy model can still run
+  ``OcrStage`` as its own actor pool over ``extract_batch(...,
+  emit_payloads=True)`` output (tests/test_extension.py);
 - a read task reads a group of files of at most ``batch_size`` rows
   in total, or one larger file in slices of ``batch_size`` rows, so its
   memory is bounded by the batch, not by the file; the tasks of a wave
@@ -75,7 +76,7 @@ import ray
 import ray.data
 
 from ..jobs import jobs_table_to_lookup
-from ..stages.engines import OcrStage, ocr_task
+from ..stages.engines import ocr_task
 from ..stages.extract import extract_batch, flatten_output
 from ..state.manifest import Manifest
 
@@ -179,99 +180,6 @@ def scan_duplicates(
     return dup_ids, drop, rows
 
 
-def _report_metrics(out: pa.Table, metrics: str | None) -> None:
-    # one fire-and-forget flush per BATCH (pre-aggregated), never per
-    # row/page — SURVEY §4 progress row
-    if metrics is not None and out.num_rows:
-        from ..state.metrics import metrics_handle
-
-        metrics_handle(metrics).report.remote(
-            docs=out.num_rows,
-            pages=int(pc.sum(out.column("pages")).as_py() or 0),
-            decode_failures=int(pc.sum(out.column("decode_failures")).as_py() or 0),
-        )
-
-
-# a write task's row per partition it wrote: the manifest's lineage counts
-_COUNTS = pa.schema(
-    (name, pa.int64())
-    for name in ("pid", "docs", "docs_failed", "pages", "decode_failures", "empty_pages")
-)
-
-
-def _extractor(
-    jobs_ref: "ray.ObjectRef | None", ocr: bool, ocr_engine: str | None,
-    ocr_model: str | None, metrics: str | None = None,
-):
-    """Extract UDF of both chains. ``jobs_ref`` is ``ray.put`` of the
-    Arrow jobs lookup (None for no jobs), made once by the caller and read
-    back zero-copy per batch. With ``ocr`` the batch's media payloads are
-    emitted and OCR'd in the same call by ``ocr_task`` (the engine cached
-    per worker), unless ``ocr_engine`` is None: then the payloads are left
-    for an ``OcrStage`` actor pool downstream. A ``path`` column (each
-    row's source file) rides along. ``metrics``: name of a live
-    MetricsActor (state/metrics.py), sent ONE fire-and-forget counter call
-    per batch, pollable mid-run via ``live_progress`` (the reference
-    polled per-page Redis writes, G2)."""
-
-    def extract(batch: pa.Table) -> pa.Table:
-        lookup = ray.get(jobs_ref) if jobs_ref is not None else None
-        out = extract_batch(batch, lookup, emit_payloads=ocr)
-        _report_metrics(out, metrics)
-        if ocr and ocr_engine is not None:
-            out = ocr_task(out, engine=ocr_engine, model=ocr_model)
-        if "path" in batch.column_names:
-            out = out.append_column("path", batch.column("path"))
-        return out
-
-    return extract
-
-
-def build_extract_pipeline(
-    ds: "ray.data.Dataset",
-    jobs: pa.Table | None = None,
-    *,
-    ocr: bool = True,
-    ocr_engine: str = "tesseract",
-    ocr_model: str | None = None,
-    ocr_concurrency=None,
-    batch_size: int = 1024,
-) -> "ray.data.Dataset":
-    """documents Dataset → extraction output Dataset (lazy, streaming):
-    extract → OCR over every row of ``ds``. For exact dedup pass
-    ``read_deduped(paths)`` as ``ds``. ``jobs``: the jobs table (None for
-    no jobs), broadcast once as its Arrow lookup.
-
-    ``ocr_concurrency``: None (default) OCRs each batch inside its extract
-    task, the engine cached per worker (``_extractor``), the same UDF the
-    job path runs before its writer — right when the engine is cheap
-    relative to a CPU reservation. An int/tuple instead runs OCR in a
-    dedicated ``OcrStage`` actor pool after the extract tasks — right for
-    heavy models that need exclusive resources (GPUs, big weights); size
-    it knowing the upstream map fuses in (Ray then caps the chain's
-    parallelism at the pool size).
-    """
-    lookup = jobs_table_to_lookup(jobs)
-    out = ds.map_batches(
-        _extractor(
-            None if lookup is None else ray.put(lookup), ocr,
-            ocr_engine if ocr_concurrency is None else None, ocr_model,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    if ocr and ocr_concurrency is not None:
-        return out.map_batches(
-            OcrStage,
-            fn_constructor_kwargs={"engine": ocr_engine, "model": ocr_model},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=ocr_concurrency,
-            num_cpus=1,
-        )
-    return out
-
-
 def _metrics_of(t: pa.Table) -> dict:
     """Manifest lineage counts of extraction output rows."""
     failed = pc.equal(t.column("status"), "failed").cast(pa.int64())
@@ -282,6 +190,85 @@ def _metrics_of(t: pa.Table) -> dict:
         "decode_failures": int(pc.sum(t.column("decode_failures")).as_py() or 0),
         "empty_pages": int(pc.sum(t.column("empty_pages")).as_py() or 0),
     }
+
+
+def _report_metrics(out: pa.Table, metrics: str | None) -> None:
+    # one fire-and-forget flush per BATCH (pre-aggregated), never per
+    # row/page — SURVEY §4 progress row; the same counts as the manifest's
+    if metrics is not None and out.num_rows:
+        from ..state.metrics import metrics_handle
+
+        metrics_handle(metrics).report.remote(**_metrics_of(out))
+
+
+# a write task's row per partition it wrote: the manifest's lineage counts
+_COUNTS = pa.schema(
+    (name, pa.int64())
+    for name in ("pid", "docs", "docs_failed", "pages", "decode_failures", "empty_pages")
+)
+
+
+# rows per extract call of ``build_extract_pipeline``, and the most rows
+# of one of its file groups
+_BATCH_ROWS = 1024
+
+
+def _extractor(
+    jobs_ref: "ray.ObjectRef | None", ocr: bool, ocr_engine: str,
+    ocr_model: str | None, metrics: str | None = None,
+):
+    """Extract UDF of both entry points. ``jobs_ref`` is ``ray.put`` of
+    the Arrow jobs lookup (None for no jobs), made once by the caller and
+    read back zero-copy per batch. With ``ocr`` the batch's media payloads
+    are emitted and OCR'd in the same call by ``ocr_task`` (the engine
+    cached per worker). A ``path`` column (each row's source file) rides
+    along. ``metrics``: name of a live MetricsActor (state/metrics.py),
+    sent ONE fire-and-forget call per batch with the manifest's lineage
+    counts, pollable mid-run via ``live_progress`` (the reference polled
+    per-page Redis writes, G2)."""
+
+    def extract(batch: pa.Table) -> pa.Table:
+        lookup = ray.get(jobs_ref) if jobs_ref is not None else None
+        out = extract_batch(batch, lookup, emit_payloads=ocr)
+        _report_metrics(out, metrics)
+        if ocr:
+            out = ocr_task(out, engine=ocr_engine, model=ocr_model)
+        if "path" in batch.column_names:
+            out = out.append_column("path", batch.column("path"))
+        return out
+
+    return extract
+
+
+def build_extract_pipeline(
+    docs: "list[str] | ray.data.Dataset",
+    jobs: pa.Table | None = None,
+    *,
+    ocr: bool = True,
+    ocr_engine: str = "tesseract",
+    ocr_model: str | None = None,
+) -> "ray.data.Dataset":
+    """Documents → extraction output Dataset (lazy, streaming): extract →
+    OCR in one UDF (``_extractor``). ``jobs``: the jobs table (None for no
+    jobs), broadcast once as its Arrow lookup.
+
+    ``docs`` as a list of parquet paths gets exact dedup: of each
+    duplicated doc_id only the first copy in (file order — the order of
+    ``docs``, not lexicographic — then row order) is extracted. This is
+    the job path's chain without its writer: one ``scan_duplicates``, then
+    one task per group of files of about ``_BATCH_ROWS`` rows
+    (``_group_tasks``), and each output row carries its file's ``path``.
+    ``docs`` as a Dataset of documents (``doc_id``, ``spans``) is
+    extracted as is, in batches of ``_BATCH_ROWS`` rows.
+    """
+    lookup = jobs_table_to_lookup(jobs)
+    extract = _extractor(
+        None if lookup is None else ray.put(lookup), ocr, ocr_engine, ocr_model
+    )
+    if isinstance(docs, ray.data.Dataset):
+        return docs.map_batches(extract, batch_format="pyarrow", batch_size=_BATCH_ROWS)
+    _, drop, rows = scan_duplicates(docs)
+    return _group_tasks(_file_groups(docs, rows, _BATCH_ROWS), drop, _BATCH_ROWS, extract)
 
 
 def _partition_writer(file_pid: dict[str, int], dirs: dict[int, str]):
@@ -346,9 +333,9 @@ def _read_group(files: list[str], drop: dict[str, np.ndarray], batch_size: int):
     """The rows of ``files`` (``doc_id`` and ``spans``, plus ``path``: the
     input string of each row's file) less the row offsets that ``drop``
     (from ``scan_duplicates``) lists per file, as tables of at most
-    ``batch_size`` rows. A file of more than ``batch_size`` rows is read in
-    slices of that many rows; smaller files are read whole and
-    concatenated."""
+    ``batch_size`` rows, at least one. A file of more than ``batch_size``
+    rows is read in slices of that many rows; smaller files are read whole
+    and concatenated."""
     import pyarrow.parquet as pq
 
     def kept(t: pa.Table, path: str, lo: int) -> pa.Table:
@@ -372,34 +359,34 @@ def _read_group(files: list[str], drop: dict[str, np.ndarray], batch_size: int):
             lo += rb.num_rows
     if small:
         docs = pa.concat_tables(small)
-        for lo in range(0, docs.num_rows, batch_size):
+        # an empty piece too: a task that yields no table gives Ray a
+        # block without a schema
+        for lo in range(0, max(docs.num_rows, 1), batch_size):
             yield docs.slice(lo, batch_size)
 
 
-# rows per read_deduped group: build_extract_pipeline's default batch_size
-_GROUP_ROWS = 1024
+def _group_tasks(
+    groups: list[list[str]], drop: dict[str, np.ndarray], batch_size: int, fn
+) -> "ray.data.Dataset":
+    """One task per group of files (``_file_groups``): ``from_items`` of
+    ``groups``, one block each, and one ``map_batches`` UDF,
+    ``group_task``, that reads its group less the row offsets ``drop``
+    lists (``_read_group``: pieces of at most ``batch_size`` rows, tagged
+    with ``path``) and yields ``fn`` of each piece. There is no
+    ``read_parquet``: its planning per execution (file stats, footer fetch
+    tasks, encoding-ratio sampling tasks) and its unfused read task per
+    file cost more than the kernels on a small wave (measured). The UDF
+    takes whole blocks (``batch_size=None``), so Ray bundles no two
+    groups into one task."""
 
-
-def read_deduped(paths: list[str]) -> "ray.data.Dataset":
-    """The documents (``doc_id``, ``spans``) of ``paths`` with exact
-    dedup: of each duplicated doc_id only the first copy in (file order —
-    the order of ``paths``, not lexicographic — then row order) is
-    kept. One ``scan_duplicates`` plans it; the Dataset is ``from_items``
-    of the files cut into groups of about ``_GROUP_ROWS`` rows
-    (``_file_groups``) and one ``map_batches`` over ``_read_group``, one
-    task per group, which fuses with the extract stage of
-    ``build_extract_pipeline``."""
-    _, drop, rows = scan_duplicates(paths)
-    groups = _file_groups(paths, rows, _GROUP_ROWS)
-
-    def read(group: pa.Table):
+    def group_task(group: pa.Table):
         (files,) = group.column("files").to_pylist()
-        for docs in _read_group(files, drop, _GROUP_ROWS):
-            yield docs.drop_columns(["path"])
+        for docs in _read_group(files, drop, batch_size):
+            yield fn(docs)
 
     return ray.data.from_items(
         [{"files": g} for g in groups], override_num_blocks=len(groups)
-    ).map_batches(read, batch_format="pyarrow", batch_size=None)
+    ).map_batches(group_task, batch_format="pyarrow", batch_size=None)
 
 
 def _wave_chain(
@@ -412,30 +399,25 @@ def _wave_chain(
     the ``_COUNTS`` rows of what ``writer`` (a ``_partition_writer``)
     wrote.
 
-    The Dataset is ``from_items`` of the groups, one block each, and one
-    fused ``map_batches`` UDF, ``read_wave``, which runs one task per
-    group: ``_read_group`` reads the group's files less the row offsets
-    ``drop`` lists (the later copies of duplicated ids, from
+    The chain is ``_group_tasks`` of the groups with ``write`` as its
+    ``fn``: one task per group reads the group's files less the row
+    offsets ``drop`` lists (the later copies of duplicated ids, from
     ``scan_duplicates``), tagged with the ``path`` that ``writer`` keys
-    on, and ``read_wave`` runs ``write`` on each piece of at most
-    ``batch_size`` rows. ``write`` runs extract → OCR (one ``_extractor``
-    call, the engine cached per worker) → ``writer``. There is no
-    ``read_parquet``: its planning per execution (file stats, footer
-    fetch tasks, encoding-ratio sampling tasks) and its unfused read task
-    per file cost more than the kernels on a small wave (measured).
+    on, and runs ``write`` on each piece of at most ``batch_size`` rows.
+    ``write`` runs extract → OCR (one ``_extractor`` call, the engine
+    cached per worker) → ``writer``.
 
     ``skew_threshold`` (size-bucket routing, SURVEY §7.1 M4): the chain
     becomes light stage → streaming re-block → heavy stage. The light
-    stage, run by ``read_wave`` on each piece in place of ``write``,
-    writes the docs of at most ``skew_threshold`` spans and passes the
-    heavier docs on unextracted. The re-block cuts its output into blocks
-    of ``_MONSTER_BATCH`` rows — a map operator, not an all-to-all
-    barrier — so c monsters in one group spread over
-    ⌈c / ``_MONSTER_BATCH``⌉ heavy tasks (Ray's task granularity is
-    the block: ``batch_size`` does not split a block across tasks).
-    The heavy stage writes those docs and passes the light stage's count
-    rows through: between the stages a row is either a count row (``pid``
-    set) or a heavy doc (``pid`` null).
+    stage, the group task's ``fn`` in place of ``write``, writes the docs
+    of at most ``skew_threshold`` spans and passes the heavier docs on
+    unextracted. The re-block cuts its output into blocks of
+    ``_MONSTER_BATCH`` rows — a map operator, not an all-to-all barrier —
+    so c monsters in one group spread over ⌈c / ``_MONSTER_BATCH``⌉ heavy
+    tasks (Ray's task granularity is the block: ``batch_size`` does not
+    split a block across tasks). The heavy stage writes those docs and
+    passes the light stage's count rows through: between the stages a row
+    is either a count row (``pid`` set) or a heavy doc (``pid`` null).
     """
     extract = _extractor(jobs_ref, ocr, ocr_engine, ocr_model, metrics)
 
@@ -450,16 +432,7 @@ def _wave_chain(
         counts = write(batch.filter(pc.invert(big)))
         return pa.concat_tables([batch.filter(big), counts], promote_options="default")
 
-    stage = write if skew_threshold is None else light
-
-    def read_wave(group: pa.Table):
-        (files,) = group.column("files").to_pylist()
-        for docs in _read_group(files, drop, batch_size):
-            yield stage(docs)
-
-    out = ray.data.from_items(
-        [{"files": g} for g in groups], override_num_blocks=len(groups)
-    ).map_batches(read_wave, batch_format="pyarrow", batch_size=None)
+    out = _group_tasks(groups, drop, batch_size, write if skew_threshold is None else light)
     if skew_threshold is None:
         return out
 

@@ -109,11 +109,10 @@ def make_engine(engine, model: str | None = None):
 
 
 # per-worker-process engine cache for OCR inside the extract task (both
-# extract chains call ``ocr_task`` from their extract UDF): gives
+# entry points call ``ocr_task`` from their extract UDF): gives
 # once-per-worker setup (the actor-__init__ property) without reserving CPUs
-# for a pool — see the ``ocr_concurrency`` note in
-# pipelines/extract_pipeline.build_extract_pipeline for when an actor pool
-# of ``OcrStage`` is the better choice
+# for a pool; a caller with a heavy model can still run ``OcrStage`` as an
+# actor pool of its own over ``extract_batch(..., emit_payloads=True)``
 _ENGINE_CACHE: dict[tuple, "OcrStage"] = {}
 
 

@@ -8,7 +8,7 @@ times. Run from /root/repo (workers import pdfz_ray via the driver cwd):
     python scripts/stress.py curation1m  # 1M-doc curation family + shards
     python scripts/stress.py rarity      # doc_rarity w/ 10^6-term vocab
     python scripts/stress.py plan        # job-path plan: dup scan + jobs lookup
-    python scripts/stress.py waves       # job-path wave reads: rows/file × batch size
+    python scripts/stress.py waves       # group tasks of both entry points: rows/file × batch size
 """
 
 from __future__ import annotations
@@ -572,16 +572,22 @@ def plan():
 
 
 def waves():
-    """The job path's wave reads across rows per file (100, 2k, 50k) ×
-    ``batch_size`` (512, 2048) on one Ray CPU: many tiny files packed into
-    one task, and one large file read in slices. One JSON line per point:
-    read tasks per wave (the ``_file_groups`` of each wave), and the
-    medians over 3 fresh jobs, after one warm-up job, of the driver's CPU
-    per job (``RUSAGE_SELF``, so Ray Data's executor threads count) and of
-    ``first_commit_s`` (job start to the first manifest commit); the last
-    job's output is checked against the oracle. Each corpus is written
-    once per rows-per-file value into a temp dir (``TMPDIR``) and removed
-    after its points."""
+    """The group tasks of both entry points across rows per file (100,
+    2k, 50k) on one Ray CPU: many tiny files packed into one task, and one
+    large file read in slices. The job path runs at ``batch_size`` 512 and
+    2048. One JSON line per point: read tasks per wave (the
+    ``_file_groups`` of each wave), and the medians over 3 fresh jobs,
+    after one warm-up job, of the driver's CPU per job (``RUSAGE_SELF``,
+    so Ray Data's executor threads count) and of ``first_commit_s`` (job
+    start to the first manifest commit); the last job's output is checked
+    against the oracle. Each line also carries one
+    ``build_extract_pipeline(paths)`` run over the same corpus: its file
+    groups, the tasks its group-task operator executed (from ``stats()``;
+    equal to the groups unless Ray bundles groups into one task), and
+    whether its rows match the oracle. Each corpus is written once per
+    rows-per-file value into a temp dir (``TMPDIR``) and removed after its
+    points."""
+    import re
     import resource
     import tempfile
 
@@ -619,6 +625,18 @@ def waves():
             for i in range(n_files):
                 paths.append(os.path.join(d, f"in-{i:04d}.parquet"))
                 pq.write_table(tbl.slice(i * rows, rows), paths[-1])
+            tasks.clear()
+            lib = ep.build_extract_pipeline(paths, jobs, ocr=True).materialize()
+            lib_got = flatten_output(pa.concat_tables(ray.get(lib.to_arrow_refs())))
+            (lib_tasks,) = [
+                int(n) for op, n in re.findall(
+                    r"^Operator \d+ (.+?): (\d+) tasks executed", lib.stats(), re.M
+                ) if "group_task" in op
+            ]
+            library = {
+                "groups": tasks[0], "tasks": lib_tasks,
+                "oracle_exact": sorted(tuple(r.values()) for r in lib_got.to_pylist()) == want,
+            }
             for batch_size in (512, 2048):
                 cpu, first = [], []
                 for run in range(4):
@@ -642,6 +660,7 @@ def waves():
                     "driver_cpu_s": round(float(np.median(cpu)), 3),
                     "first_commit_s": round(float(np.median(first)), 3),
                     "oracle_exact": sorted(tuple(r.values()) for r in got.to_pylist()) == want,
+                    "library": library,
                 }), flush=True)
     ray.shutdown()
 

@@ -75,7 +75,7 @@ def test_custom_engine_through_ray_pipeline(ray_session):
         OcrStage,
         fn_constructor_kwargs={"engine": LocalShout},
         batch_format="pyarrow",
-        concurrency=2,
+        concurrency=(1, 2),
         num_cpus=1,
     )
     rows = out.take_all()

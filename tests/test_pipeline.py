@@ -1,5 +1,5 @@
 """End-to-end flagship pipeline tests on Ray: golden equality, dedup,
-actor-pool OCR, checkpoint/resume, partition metrics."""
+OCR in the extract task, checkpoint/resume, partition metrics."""
 
 import os
 
@@ -28,12 +28,12 @@ def _oracle_flat(tbl, jobs=None):
 
 
 def test_pipeline_matches_oracle(ray_session, corpus_files):
-    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline, read_deduped
+    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
     from pdfz_ray.stages.extract import flatten_output
 
     tbl, paths = corpus_files
     jobs = make_jobs(120)
-    out = build_extract_pipeline(read_deduped(paths), jobs, ocr_concurrency=2)
+    out = build_extract_pipeline(paths, jobs)
     flat = out.map_batches(flatten_output, batch_format="pyarrow")
     got = sorted(
         (tuple(r.values()) for r in flat.take_all()),
@@ -47,18 +47,18 @@ def test_pipeline_matches_oracle(ray_session, corpus_files):
 
 
 def test_pipeline_dedup_exact(ray_session, corpus_files):
-    """Exact dedup runs exactly when the documents come from
-    ``read_deduped``: one row per distinct doc_id from it, one per input
-    row from a plain read."""
+    """Exact dedup runs exactly when the documents are given as paths:
+    one row per distinct doc_id from them, one per input row from a plain
+    read passed as a Dataset."""
     import ray.data as rd
 
-    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline, read_deduped
+    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
 
     tbl, paths = corpus_files
     n_unique = len(set(tbl.column("doc_id").to_pylist()))
     n_rows = sum(pq.read_metadata(p).num_rows for p in paths)
     assert n_unique < n_rows
-    assert build_extract_pipeline(read_deduped(paths), ocr=False).count() == n_unique
+    assert build_extract_pipeline(paths, ocr=False).count() == n_unique
     assert build_extract_pipeline(rd.read_parquet(paths), ocr=False).count() == n_rows
 
 
@@ -149,17 +149,17 @@ def test_scan_duplicates_matches_brute_force_count(
 
 def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
     """run_partitioned (the job path's fused waves; ``job_kw`` go to it
-    alone) is row-identical to build_extract_pipeline over
-    ``read_deduped`` at every partition size, with the jobs table, OCR on
-    and cross-partition dups; no side file is written, and each
-    duplicated id's row sits in the partition of its first copy's file.
-    build_extract_pipeline runs OCR inside its extract UDF: its executed
+    alone) is row-identical, less ``path``, to build_extract_pipeline over
+    the paths at every partition size, with the jobs table, OCR on and
+    cross-partition dups; no side file is written, and each duplicated
+    id's row sits in the partition of its first copy's file (and, from
+    build_extract_pipeline, carries that file's path).
+    build_extract_pipeline runs OCR inside its group tasks: its executed
     operators hold no ``ocr_task`` stage."""
     import pyarrow.dataset as pads
 
     from pdfz_ray.pipelines.extract_pipeline import (
         build_extract_pipeline,
-        read_deduped,
         run_partitioned,
     )
 
@@ -171,13 +171,14 @@ def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
         return sorted(t.to_pylist(), key=lambda r: r["doc_id"])
 
     d_union = str(tmp_path / "out_union")
-    union = build_extract_pipeline(read_deduped(paths), jobs, ocr=True)
+    union = build_extract_pipeline(paths, jobs, ocr=True)
     union.write_parquet(d_union)
-    # OCR ran inside the extract UDF, as on the job path: no OCR operator
+    # OCR ran inside the group task, as on the job path: no OCR operator
     stats = union.stats()
-    assert "MapBatches(extract)" in stats and "ocr_task" not in stats, stats
+    assert "MapBatches(group_task)" in stats and "ocr_task" not in stats, stats
     want = rows(d_union)
     assert len(want) == len(set(tbl.column("doc_id").to_pylist()))
+    path_of = {r["doc_id"]: r.pop("path") for r in want}
 
     # first file holding each duplicated id (the corpus's dup tail)
     first_file: dict = {}
@@ -188,6 +189,9 @@ def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
                 seen_twice.add(d)
             first_file.setdefault(d, i)
     assert seen_twice
+    assert {d: path_of[d] for d in seen_twice} == {
+        d: paths[first_file[d]] for d in seen_twice
+    }
     for size in (1, 2, len(paths)):
         out_dir = str(tmp_path / f"out_part{size}")
         res = run_partitioned(
@@ -225,7 +229,6 @@ def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path, monkeypatch
     from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.pipelines.extract_pipeline import (
         build_extract_pipeline,
-        read_deduped,
         run_partitioned,
     )
     from pdfz_ray.schema import DOCUMENTS_SCHEMA
@@ -283,7 +286,7 @@ def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path, monkeypatch
     def flat(out):
         return sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
 
-    out = build_extract_pipeline(read_deduped(paths), ocr=False)
+    out = build_extract_pipeline(paths, ocr=False)
     got = out.map_batches(flatten_output, batch_format="pyarrow").take_all()
     assert reads == []
     assert sorted(tuple(r.values()) for r in got) == want
@@ -369,8 +372,8 @@ def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
         for op in fused.split("->")
     ]
     # FromItems is the input buffer of the wave's file groups, not a task
-    assert ops[:2] == ["FromItems", "MapBatches(read_wave)"], ops
-    assert ops.count("MapBatches(read_wave)") == 1, ops
+    assert ops[:2] == ["FromItems", "MapBatches(group_task)"], ops
+    assert ops.count("MapBatches(group_task)") == 1, ops
     assert not [op for op in ops if "ReadParquet" in op], ops
     assert not [op for op in ops if "Union" in op], ops
     assert [op for op in ops if "Repartition" in op] == ["StreamingRepartition"], ops
@@ -381,8 +384,9 @@ def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
 def test_skew_routing_rejects_unsupported_combinations(
     ray_session, corpus_files, tmp_path
 ):
-    """Skew routing is a job-path option and the job path runs OCR in the
-    extract task: neither entry point takes the other's option."""
+    """Skew routing is a job-path option, and OCR has one path, in the
+    extract task: build_extract_pipeline takes neither option, and
+    run_partitioned no OCR pool size."""
     import ray.data as rd
 
     from pdfz_ray.pipelines.extract_pipeline import (
@@ -393,6 +397,8 @@ def test_skew_routing_rejects_unsupported_combinations(
     _, paths = corpus_files
     with pytest.raises(TypeError, match="skew_threshold"):
         build_extract_pipeline(rd.read_parquet(paths), skew_threshold=100)
+    with pytest.raises(TypeError, match="ocr_concurrency"):
+        build_extract_pipeline(paths, ocr_concurrency=2)
     with pytest.raises(TypeError, match="ocr_concurrency"):
         run_partitioned(
             paths, str(tmp_path / "out"), skew_threshold=100, ocr_concurrency=2
@@ -850,12 +856,47 @@ def test_unrouted_wave_is_one_task_per_group(ray_session, corpus_files, tmp_path
     ops = re.findall(r"^Operator \d+ (.+?): (\d+) tasks executed", ds.stats(), re.M)
     # FromItems is the input buffer of the groups, not an executed operator
     assert ops[0][0] == "FromItems", ops
-    assert ops[1:] == [("MapBatches(read_wave)", str(len(planned)))], ops
+    assert ops[1:] == [("MapBatches(group_task)", str(len(planned)))], ops
+
+
+def test_paths_pipeline_is_one_task_per_group(ray_session, tmp_path):
+    """build_extract_pipeline over paths runs the job path's chain less
+    its writer: one executed operator, the fused group task, with one task
+    per file group at its own ``_BATCH_ROWS``, not every group bundled
+    into one task. The output is exactly deduplicated, and every block,
+    that of the group holding only later copies too, has one schema."""
+    import re
+
+    import ray
+
+    from pdfz_ray.pipelines import extract_pipeline as ep
+
+    tbl = make_documents(1650, monster_spans=20)
+    assert tbl.num_rows == 1800
+    paths = []
+    # the fourth file repeats the first: all its rows are later copies
+    for i, lo in enumerate((0, 600, 1200, 0)):
+        paths.append(str(tmp_path / f"f{i}.parquet"))
+        pq.write_table(tbl.slice(lo, 600), paths[-1])
+    rows = {p: 600 for p in paths}
+    groups = ep._file_groups(paths, rows, ep._BATCH_ROWS)
+    assert len(groups) == 4
+
+    out = ep.build_extract_pipeline(paths, ocr=False).materialize()
+    blocks = ray.get(out.to_arrow_refs())
+    assert len({b.schema for b in blocks}) == 1, [b.schema for b in blocks]
+    ids = pa.concat_tables(blocks).column("doc_id").to_pylist()
+    assert len(ids) == len(set(ids)) == 1650
+    ops = re.findall(r"^Operator \d+ (.+?): (\d+) tasks executed", out.stats(), re.M)
+    # FromItems is the input buffer of the groups, not an executed operator
+    assert ops[0][0] == "FromItems", ops
+    assert ops[1:] == [("MapBatches(group_task)", str(len(groups)))], ops
 
 
 def test_job_cli_rejects_sizes_below_one(tmp_path, monkeypatch, capsys):
-    """``--partition-size``, ``--batch-size``, ``--shards`` and ``--budget``
-    below 1 are usage errors (exit code 2) before Ray starts."""
+    """``--partition-size``, ``--batch-size``, ``--num-cpus``, ``--shards``
+    and ``--budget`` below 1 are usage errors (exit code 2) before Ray
+    starts."""
     import ray
 
     from pdfz_ray import job
@@ -866,7 +907,7 @@ def test_job_cli_rejects_sizes_below_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ray, "init", boom)
     src = str(tmp_path / "in.parquet")
     pq.write_table(make_documents(4), src)
-    for flag in ("--partition-size", "--batch-size", "--shards", "--budget"):
+    for flag in ("--partition-size", "--batch-size", "--num-cpus", "--shards", "--budget"):
         for value in ("0", "-1"):
             with pytest.raises(SystemExit) as err:
                 job.main(["--input", src, "--out", str(tmp_path / "out"), flag, value])
@@ -1021,8 +1062,8 @@ def test_live_metrics_mid_run(ray_session, tmp_path):
     assert seen == sorted(seen), "mid-run counters must be monotone"
     assert seen and seen[0] < final["docs"], "no mid-run snapshot observed"
     rows = [json.loads(line) for line in open(res["r"]["manifest"])]
-    assert final["docs"] == sum(r["docs"] for r in rows)
-    assert final["pages"] == sum(r["pages"] for r in rows)
+    for name in ("docs", "docs_failed", "pages", "decode_failures", "empty_pages"):
+        assert final[name] == sum(r[name] for r in rows), name
 
 
 def test_skew_bucketed_pipeline_correct(ray_session, tmp_path, monkeypatch):
@@ -1229,15 +1270,14 @@ def test_pipeline_survives_transient_task_failures(ray_session, tmp_path):
             raise RuntimeError("injected transient failure")
         return batch
 
-    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline, read_deduped
+    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
     from pdfz_ray.stages.extract import flatten_output
 
     # retry_exceptions opts application errors into Ray's task retries
     # (system/worker failures retry by default)
-    ds = read_deduped(paths).map_batches(
+    out = build_extract_pipeline(paths, ocr=False).map_batches(
         flaky, batch_format="pyarrow", retry_exceptions=True, max_retries=4
     )
-    out = build_extract_pipeline(ds, ocr=False)
     flat = out.map_batches(flatten_output, batch_format="pyarrow")
     got = sorted(tuple(r.values()) for r in flat.take_all())
     want = sorted(tuple(r.values()) for r in _oracle_flat(tbl))
