@@ -13,8 +13,8 @@ and every later copy is dropped by its row offset as its file is read.
 ``_read_group`` reads a group of files less them. Both entry points run
 one chain on input files: one task per group of files (``_group_tasks``)
 reads its group and runs the per-batch extract UDF (``_extractor``:
-extract, OCR of the batch's media spans in the same call, one metrics
-flush per batch, the carried ``path`` column) on each piece:
+extract, OCR of the batch's media spans in the same call, the carried
+``path`` column) on each piece:
 
 - ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
   once per run: one dup scan gives the offsets to drop and every file's
@@ -25,7 +25,8 @@ flush per batch, the carried ``path`` column) on each piece:
   counts (``_file_groups``), each run as one fused read → drop → extract →
   OCR → write task, with no ``read_parquet`` planning; the writer splits
   each batch by partition into the partitions' temp dirs and returns the
-  manifest counts;
+  manifest counts, which the driver sums into the manifest and forwards to
+  the live metrics actor;
 - ``build_extract_pipeline`` on a list of paths is the same chain without
   the writer: one dup scan, then one read → drop → extract → OCR task per
   group of about ``_BATCH_ROWS`` rows, as a lazy Dataset. On a caller's
@@ -192,15 +193,6 @@ def _metrics_of(t: pa.Table) -> dict:
     }
 
 
-def _report_metrics(out: pa.Table, metrics: str | None) -> None:
-    # one fire-and-forget flush per BATCH (pre-aggregated), never per
-    # row/page — SURVEY §4 progress row; the same counts as the manifest's
-    if metrics is not None and out.num_rows:
-        from ..state.metrics import metrics_handle
-
-        metrics_handle(metrics).report.remote(**_metrics_of(out))
-
-
 # a write task's row per partition it wrote: the manifest's lineage counts
 _COUNTS = pa.schema(
     (name, pa.int64())
@@ -214,23 +206,19 @@ _BATCH_ROWS = 1024
 
 
 def _extractor(
-    jobs_ref: "ray.ObjectRef | None", ocr: bool, ocr_engine: str,
-    ocr_model: str | None, metrics: str | None = None,
+    jobs_ref: "ray.ObjectRef | None", ocr: bool, ocr_engine: str, ocr_model: str | None
 ):
-    """Extract UDF of both entry points. ``jobs_ref`` is ``ray.put`` of
-    the Arrow jobs lookup (None for no jobs), made once by the caller and
-    read back zero-copy per batch. With ``ocr`` the batch's media payloads
-    are emitted and OCR'd in the same call by ``ocr_task`` (the engine
-    cached per worker). A ``path`` column (each row's source file) rides
-    along. ``metrics``: name of a live MetricsActor (state/metrics.py),
-    sent ONE fire-and-forget call per batch with the manifest's lineage
-    counts, pollable mid-run via ``live_progress`` (the reference polled
-    per-page Redis writes, G2)."""
+    """Extract UDF of both entry points, built once per run. ``jobs_ref``
+    is ``ray.put`` of the Arrow jobs lookup (None for no jobs), made once
+    by the caller and read back zero-copy per batch. With ``ocr`` the
+    batch's media payloads are emitted and OCR'd in the same call by
+    ``ocr_task`` (the engine cached per worker). A ``path`` column (each
+    row's source file) rides along. It counts nothing: the job path's
+    lineage counts come from its write tasks (``_COUNTS`` rows)."""
 
     def extract(batch: pa.Table) -> pa.Table:
         lookup = ray.get(jobs_ref) if jobs_ref is not None else None
         out = extract_batch(batch, lookup, emit_payloads=ocr)
-        _report_metrics(out, metrics)
         if ocr:
             out = ocr_task(out, engine=ocr_engine, model=ocr_model)
         if "path" in batch.column_names:
@@ -259,8 +247,11 @@ def build_extract_pipeline(
     one task per group of files of about ``_BATCH_ROWS`` rows
     (``_group_tasks``), and each output row carries its file's ``path``.
     ``docs`` as a Dataset of documents (``doc_id``, ``spans``) is
-    extracted as is, in batches of ``_BATCH_ROWS`` rows.
+    extracted as is, in batches of ``_BATCH_ROWS`` rows. An empty list of
+    paths raises ``ValueError``.
     """
+    if not isinstance(docs, ray.data.Dataset) and not docs:
+        raise ValueError("build_extract_pipeline: docs is an empty list of paths")
     lookup = jobs_table_to_lookup(jobs)
     extract = _extractor(
         None if lookup is None else ray.put(lookup), ocr, ocr_engine, ocr_model
@@ -390,10 +381,8 @@ def _group_tasks(
 
 
 def _wave_chain(
-    groups: list[list[str]], writer, jobs_ref: "ray.ObjectRef | None",
-    drop: dict[str, np.ndarray], *,
-    ocr: bool, ocr_engine: str, ocr_model: str | None, batch_size: int,
-    skew_threshold: int | None, metrics: str | None,
+    groups: list[list[str]], drop: dict[str, np.ndarray], extract, writer, *,
+    batch_size: int, skew_threshold: int | None,
 ) -> "ray.data.Dataset":
     """A wave's execution: the files of ``groups`` (``_file_groups``) →
     the ``_COUNTS`` rows of what ``writer`` (a ``_partition_writer``)
@@ -404,8 +393,8 @@ def _wave_chain(
     offsets ``drop`` lists (the later copies of duplicated ids, from
     ``scan_duplicates``), tagged with the ``path`` that ``writer`` keys
     on, and runs ``write`` on each piece of at most ``batch_size`` rows.
-    ``write`` runs extract → OCR (one ``_extractor`` call, the engine
-    cached per worker) → ``writer``.
+    ``write`` runs ``extract`` (the run's ``_extractor`` UDF: extract →
+    OCR, the engine cached per worker) → ``writer``.
 
     ``skew_threshold`` (size-bucket routing, SURVEY §7.1 M4): the chain
     becomes light stage → streaming re-block → heavy stage. The light
@@ -419,7 +408,6 @@ def _wave_chain(
     passes the light stage's count rows through: between the stages a row
     is either a count row (``pid`` set) or a heavy doc (``pid`` null).
     """
-    extract = _extractor(jobs_ref, ocr, ocr_engine, ocr_model, metrics)
 
     def write(docs: pa.Table) -> pa.Table:
         if not docs.num_rows:
@@ -506,9 +494,16 @@ def run_partitioned(
     index in this run), ``wall_s`` (the wave's wall time up to this
     partition's commit) and ``files_md5``. Each wave logs one DEBUG record
     on the ``pdfz_ray`` logger. OCR runs in the extract task with a
-    per-worker engine cache; ``metrics``: see ``_extractor``;
-    ``batch_size`` (the most rows per extract call and the target rows per
-    read task) and ``skew_threshold``: see ``_wave_chain``.
+    per-worker engine cache. ``metrics``: the name of a live
+    ``MetricsActor`` (state/metrics.py), pollable mid-run with
+    ``live_progress`` (the reference wrote per-page progress to Redis,
+    G2): the ``partitions_total`` gauge, and the ``partitions_done`` and
+    five lineage counters, sent by the driver as one fire-and-forget call
+    per block of count rows it pulls. They add up the same rows as the
+    manifest, once each however often Ray retried a task, plus those of a
+    partition that never commits. ``batch_size`` (the most rows per
+    extract call and the target rows per read task) and
+    ``skew_threshold``: see ``_wave_chain``.
 
     The returned ``output_dirs`` and ``output_files`` are those of this
     run's chunking.
@@ -552,7 +547,9 @@ def run_partitioned(
     if pending:
         _, drop, file_rows = scan_duplicates(input_paths)
         lookup = jobs_table_to_lookup(jobs)
-        jobs_ref = None if lookup is None else ray.put(lookup)
+        extract = _extractor(
+            None if lookup is None else ray.put(lookup), ocr, ocr_engine, ocr_model
+        )
     for k, wave in enumerate(_waves(pending)):
         t0 = time.perf_counter()
         files = [f for _, fs in wave for f in fs]
@@ -583,10 +580,9 @@ def run_partitioned(
                 [f for pid, fs in wave if pid in tmp for f in fs], file_rows, batch_size
             )
             out = _wave_chain(
-                groups, _partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
-                jobs_ref, {f: drop[f] for f in files if f in drop}, ocr=ocr,
-                ocr_engine=ocr_engine, ocr_model=ocr_model, batch_size=batch_size,
-                skew_threshold=skew_threshold, metrics=metrics,
+                groups, {f: drop[f] for f in files if f in drop}, extract,
+                _partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
+                batch_size=batch_size, skew_threshold=skew_threshold,
             )
             # result bundles are pulled on this thread, not on a prefetch
             # thread as in ``iter_batches``: an exception raised while
@@ -599,6 +595,10 @@ def run_partitioned(
                     sums = block.group_by("pid", use_threads=False).aggregate(
                         [(name, "sum") for name in _COUNTS.names[1:]]
                     ).to_pydict()
+                    if metrics_actor is not None:
+                        metrics_actor.report.remote(**{
+                            name: sum(sums[f"{name}_sum"]) for name in _COUNTS.names[1:]
+                        })
                     for i, pid in enumerate(sums["pid"]):
                         for name in _COUNTS.names[1:]:
                             counts[pid][name] += sums[f"{name}_sum"][i]

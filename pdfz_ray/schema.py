@@ -72,21 +72,6 @@ FLAT_OUTPUT_SCHEMA = pa.schema(
     ]
 )
 
-# Per-partition lineage/metrics rows (FIXTURES.md §4) — the rebuild's
-# replacement for per-page Redis progress writes
-# (reference extractor/src/libs/redis.rs:169-178).
-MANIFEST_SCHEMA = pa.schema(
-    [
-        ("partition_id", pa.int32()),
-        ("status", pa.string()),
-        ("docs", pa.int64()),
-        ("pages", pa.int64()),
-        ("decode_failures", pa.int64()),
-        ("empty_pages", pa.int64()),
-        ("wall_s", pa.float64()),
-    ]
-)
-
 # Synthetic media payload table (multimodal plumbing; payloads are opaque
 # bytes the way decoded PdfImage bytes are in the reference,
 # extractor/src/engine/mod.rs:138-211).

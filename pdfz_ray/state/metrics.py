@@ -2,14 +2,18 @@
 
 The reference writes per-page progress to Redis, one round trip per page
 (reference: extractor/src/engine/mod.rs:89; SURVEY §4 flags the per-row
-write as the anti-pattern). The rebuild pre-aggregates per BATCH inside
-the extract kernel and flushes ONE fire-and-forget actor call per batch;
-any process in the cluster can poll ``live_progress`` while a
-``run_partitioned`` job is in flight.
+write as the anti-pattern). In the rebuild no worker reports: the write
+tasks of ``run_partitioned`` return their lineage counts as count rows,
+and the driver, as it pulls each block of them, sends their sums to this
+actor in ONE fire-and-forget call, beside the ``partitions_total`` gauge
+and the ``partitions_done`` count. Any process in the cluster can poll
+``live_progress`` while the job is in flight.
 
-Semantics: counters are at-least-once (a retried task re-reports) — this
-is a monitoring surface. Exactly-once lineage stays with the partition
-manifest (state/manifest.py), which is the source of truth.
+Semantics: each write task's rows reach the driver once, even when Ray
+retries the task, so the counters add up exactly the rows written. They
+also count the rows of a partition that never commits (a failed wave);
+the partition manifest (state/manifest.py) holds only committed ones and
+stays the source of truth.
 """
 
 from __future__ import annotations
@@ -37,35 +41,12 @@ class MetricsActor:
     def snapshot(self) -> dict:
         return {**self._gauges, **self._counters}
 
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
 
-
-def get_metrics_actor(name: str = DEFAULT_NAME, detached: bool = False):
-    """Create-or-attach the named metrics actor (idempotent).
-
-    A non-detached named actor lives only while some handle to it is held
-    — keep the returned handle alive for the duration you want to poll.
-    Pass ``detached=True`` for cross-driver polling (caller must
-    ``ray.kill`` it when done)."""
-    opts = {"name": name, "get_if_exists": True}
-    if detached:
-        opts["lifetime"] = "detached"
-    return MetricsActor.options(**opts).remote()
-
-
-# per-worker handle cache: resolving a named actor once per worker, not
-# once per batch
-_HANDLES: dict[str, "ray.actor.ActorHandle"] = {}
-
-
-def metrics_handle(name: str):
-    h = _HANDLES.get(name)
-    if h is None:
-        h = ray.get_actor(name)
-        _HANDLES[name] = h
-    return h
+def get_metrics_actor(name: str = DEFAULT_NAME):
+    """Create-or-attach the named metrics actor (idempotent). A named actor
+    lives only while some handle to it is held: keep the returned handle
+    alive for as long as you want to poll."""
+    return MetricsActor.options(name=name, get_if_exists=True).remote()
 
 
 def live_progress(name: str = DEFAULT_NAME) -> dict:

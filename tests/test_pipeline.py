@@ -1006,9 +1006,11 @@ def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
 
 
 def test_live_metrics_mid_run(ray_session, tmp_path):
-    """G2 live path: per-batch counter flushes to the named metrics actor
-    are pollable WHILE run_partitioned is in flight, increase
-    monotonically, and converge to the manifest's exact lineage."""
+    """G2 live path: the counters that the driver forwards from the write
+    tasks' count rows to the named metrics actor are pollable WHILE
+    run_partitioned is in flight, increase monotonically, and equal the
+    manifest's lineage sums once it returns: the driver sent every report
+    before returning, and an actor runs one caller's calls in order."""
     import json
     import threading
     import time
@@ -1048,14 +1050,7 @@ def test_live_metrics_mid_run(ray_session, tmp_path):
             seen.append(s["docs"])
         time.sleep(0.05)
     th.join()
-    # fire-and-forget flushes may still be in flight right after join
     final = live_progress(name)
-    for _ in range(100):
-        time.sleep(0.05)
-        nxt = live_progress(name)
-        if nxt == final:
-            break
-        final = nxt
 
     assert final["partitions_total"] == 8
     assert final["partitions_done"] == 8
@@ -1064,6 +1059,74 @@ def test_live_metrics_mid_run(ray_session, tmp_path):
     rows = [json.loads(line) for line in open(res["r"]["manifest"])]
     for name in ("docs", "docs_failed", "pages", "decode_failures", "empty_pages"):
         assert final[name] == sum(r[name] for r in rows), name
+
+
+def test_worker_killed_mid_wave(ray_session, tmp_path, monkeypatch):
+    """A worker that dies right after its write task wrote (the first
+    writer call of the run, across processes, ``os._exit``s after a 1 s
+    sleep) is retried by Ray: the output equals the oracle with no doc
+    missing, extra or repeated, in as many files as a run without the
+    kill (the retry overwrites the dead attempt's content-named files),
+    and the live counters equal the manifest sums, since they come only
+    from the count rows the driver received."""
+    import json
+    import time
+
+    from pdfz_ray.pipelines import extract_pipeline as ep
+    from pdfz_ray.stages.extract import flatten_output
+    from pdfz_ray.state.metrics import get_metrics_actor, live_progress
+
+    tbl = make_documents(400)
+    d = tmp_path / "in"
+    d.mkdir()
+    paths = []
+    for i in range(4):
+        paths.append(str(d / f"f{i}.parquet"))
+        pq.write_table(tbl.slice(i * 100, 100), paths[-1])
+    kw = dict(partition_size=1, batch_size=64, ocr=False)
+    clean = ep.run_partitioned(paths, str(tmp_path / "clean"), **kw)
+
+    marker = str(tmp_path / "killed")
+    real = ep._partition_writer
+
+    def killing_writer(file_pid, dirs):
+        write = real(file_pid, dirs)
+
+        def once(batch):
+            out = write(batch)
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return out
+            time.sleep(1)
+            os._exit(1)
+
+        return once
+
+    monkeypatch.setattr(ep, "_partition_writer", killing_writer)
+    name = "pdfz_metrics_kill"
+    actor = get_metrics_actor(name)  # noqa: F841  (held: see test_live_metrics_mid_run)
+    res = ep.run_partitioned(paths, str(tmp_path / "out"), metrics=name, **kw)
+    assert os.path.exists(marker), "no worker was killed"
+    out = pa.concat_tables(pq.read_table(f) for f in res["output_files"])
+    ids = out.column("doc_id").to_pylist()
+    assert len(ids) == len(set(ids)) == len(set(tbl.column("doc_id").to_pylist()))
+    got = sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
+    assert got == sorted(tuple(r.values()) for r in _oracle_flat(tbl))
+    assert len(res["output_files"]) == len(clean["output_files"])
+    rows = [json.loads(line) for line in open(res["manifest"])]
+    final = live_progress(name)
+    for key in ("docs", "docs_failed", "pages", "decode_failures", "empty_pages"):
+        assert final[key] == sum(r[key] for r in rows), (key, final, rows)
+
+
+def test_build_extract_pipeline_rejects_empty_paths(ray_session):
+    """An empty path list is a usage error naming it, raised before any
+    Ray call (not Ray's own ``parallelism`` error from ``from_items``)."""
+    from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
+
+    with pytest.raises(ValueError, match="empty list of paths"):
+        build_extract_pipeline([], ocr=False)
 
 
 def test_skew_bucketed_pipeline_correct(ray_session, tmp_path, monkeypatch):
