@@ -52,9 +52,11 @@ def main(argv: list[str] | None = None) -> int:
                    help="reprocess committed partitions")
     p.add_argument("--batch-size", type=_at_least_one, default=2048,
                    help="most rows per extract kernel call, and the target "
-                        "rows per read task: a wave's files are grouped "
-                        "into tasks of up to this many rows, and a larger "
-                        "file is read in slices of this many rows")
+                        "rows per read task: the files of each of the two "
+                        "executions (the first partition, then the rest in "
+                        "one execution) are grouped into tasks of up to "
+                        "this many rows, and a larger file is read in "
+                        "slices of this many rows")
     p.add_argument("--num-cpus", type=_at_least_one, default=None,
                    help="ray.init num_cpus when starting a local session")
     p.add_argument("--metrics", default=None, metavar="NAME",

@@ -19,14 +19,16 @@ extract, OCR of the batch's media spans in the same call, the carried
 - ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
   once per run: one dup scan gives the offsets to drop and every file's
   row count, and one ``ray.put`` broadcasts the jobs lookup table. It then
-  runs the pending partitions in doubling waves (1, 2, 4, … partitions),
-  one execution per wave (``_wave_chain``): the wave's files, cut on the
-  driver into groups of about ``batch_size`` rows from the scan's row
-  counts (``_file_groups``), each run as one fused read → drop → extract →
-  OCR → write task, with no ``read_parquet`` planning; the writer splits
-  each batch by partition into the partitions' temp dirs and returns the
-  manifest counts, which the driver sums into the manifest and forwards to
-  the live metrics actor;
+  runs the pending partitions in two waves, one Ray Data execution each
+  (``_wave_chain``): the first partition alone, then the rest in one
+  execution. A wave's files are cut on the driver into groups of about
+  ``batch_size`` rows from the scan's row counts (``_file_groups``), each
+  run as one fused read → drop → extract → OCR → write task, with no
+  ``read_parquet`` planning; each group's row carries its files' drop
+  offsets, so no UDF closes over them. The writer splits each batch by
+  partition into the partitions' temp dirs and returns the manifest
+  counts, which the driver sums into the manifest and forwards to the live
+  metrics actor;
 - ``build_extract_pipeline`` on a list of paths is the same chain without
   the writer: one dup scan, then one read → drop → extract → OCR task per
   group of about ``_BATCH_ROWS`` rows, as a lazy Dataset. On a caller's
@@ -54,13 +56,17 @@ Scale notes (the 100 TB design points):
   emit_payloads=True)`` output (tests/test_extension.py);
 - a read task reads a group of files of at most ``batch_size`` rows
   in total, or one larger file in slices of ``batch_size`` rows, so its
-  memory is bounded by the batch, not by the file; the tasks of a wave
-  are sized by rows, not bytes, so a group of docs far above the median
-  span count is heavier than its neighbours (``skew_threshold`` routes
-  such docs to a second stage);
+  memory is bounded by the batch, not by the file; a group's drop offsets
+  travel in its own ``from_items`` row, so what the UDF closes over does
+  not grow with the dup count; the tasks of a wave are sized by rows, not
+  bytes, so a group of docs far above the median span count is heavier
+  than its neighbours (``skew_threshold`` routes such docs to a second
+  stage);
 - output is committed per input partition (atomic rename + manifest line)
   as soon as its rows are written, so a resumed run skips finished
-  partitions exactly and a crash loses at most one wave.
+  partitions exactly and a crash redoes only the uncommitted partitions of
+  the running execution; a run starts at most two executions, whatever
+  its partition count.
 """
 
 from __future__ import annotations
@@ -320,18 +326,17 @@ def _file_groups(
     return groups
 
 
-def _read_group(files: list[str], drop: dict[str, np.ndarray], batch_size: int):
+def _read_group(files: list[str], drops: list[np.ndarray], batch_size: int):
     """The rows of ``files`` (``doc_id`` and ``spans``, plus ``path``: the
-    input string of each row's file) less the row offsets that ``drop``
-    (from ``scan_duplicates``) lists per file, as tables of at most
-    ``batch_size`` rows, at least one. A file of more than ``batch_size``
-    rows is read in slices of that many rows; smaller files are read whole
-    and concatenated."""
+    input string of each row's file) less the row offsets in ``drops``
+    (one sorted array per file, in ``files`` order, from
+    ``scan_duplicates``), as tables of at most ``batch_size`` rows, at
+    least one. A file of more than ``batch_size`` rows is read in slices of
+    that many rows; smaller files are read whole and concatenated."""
     import pyarrow.parquet as pq
 
-    def kept(t: pa.Table, path: str, lo: int) -> pa.Table:
-        if path in drop:
-            offsets = drop[path]
+    def kept(t: pa.Table, path: str, offsets: np.ndarray, lo: int) -> pa.Table:
+        if len(offsets):
             a, b = np.searchsorted(offsets, [lo, lo + t.num_rows])
             keep = np.ones(t.num_rows, bool)
             keep[offsets[a:b] - lo] = False
@@ -339,14 +344,14 @@ def _read_group(files: list[str], drop: dict[str, np.ndarray], batch_size: int):
         return t.append_column("path", pa.array([path] * t.num_rows, pa.string()))
 
     small = []
-    for f in files:
+    for f, offsets in zip(files, drops):
         pf = pq.ParquetFile(f)
         if pf.metadata.num_rows <= batch_size:
-            small.append(kept(pf.read(_READ_COLUMNS, use_threads=False), f, 0))
+            small.append(kept(pf.read(_READ_COLUMNS, use_threads=False), f, offsets, 0))
             continue
         lo = 0
         for rb in pf.iter_batches(batch_size, columns=_READ_COLUMNS, use_threads=False):
-            yield kept(pa.Table.from_batches([rb]), f, lo)
+            yield kept(pa.Table.from_batches([rb]), f, offsets, lo)
             lo += rb.num_rows
     if small:
         docs = pa.concat_tables(small)
@@ -360,24 +365,30 @@ def _group_tasks(
     groups: list[list[str]], drop: dict[str, np.ndarray], batch_size: int, fn
 ) -> "ray.data.Dataset":
     """One task per group of files (``_file_groups``): ``from_items`` of
-    ``groups``, one block each, and one ``map_batches`` UDF,
-    ``group_task``, that reads its group less the row offsets ``drop``
-    lists (``_read_group``: pieces of at most ``batch_size`` rows, tagged
-    with ``path``) and yields ``fn`` of each piece. There is no
-    ``read_parquet``: its planning per execution (file stats, footer fetch
-    tasks, encoding-ratio sampling tasks) and its unfused read task per
-    file cost more than the kernels on a small wave (measured). The UDF
-    takes whole blocks (``batch_size=None``), so Ray bundles no two
-    groups into one task."""
+    one row per group, one block each, and one ``map_batches`` UDF,
+    ``group_task``, that reads its group less its files' dropped row
+    offsets (``_read_group``: pieces of at most ``batch_size`` rows, tagged
+    with ``path``) and yields ``fn`` of each piece. A group's row carries
+    its ``files`` beside their ``drop`` offsets (from ``drop``, per file;
+    empty for a file ``drop`` does not list), so the plan data travels
+    with its group and the UDF closes over nothing that grows with the dup
+    count. There is no ``read_parquet``: its planning per execution (file
+    stats, footer fetch tasks, encoding-ratio sampling tasks) and its
+    unfused read task per file cost more than the kernels on a small wave
+    (measured). The UDF takes whole blocks (``batch_size=None``), so Ray
+    bundles no two groups into one task."""
 
     def group_task(group: pa.Table):
         (files,) = group.column("files").to_pylist()
-        for docs in _read_group(files, drop, batch_size):
+        (drops,) = group.column("drop").to_pylist()
+        for docs in _read_group(files, [np.asarray(d, np.int64) for d in drops], batch_size):
             yield fn(docs)
 
-    return ray.data.from_items(
-        [{"files": g} for g in groups], override_num_blocks=len(groups)
-    ).map_batches(group_task, batch_format="pyarrow", batch_size=None)
+    none = np.zeros(0, np.int64)
+    rows = [{"files": g, "drop": [drop.get(f, none) for f in g]} for g in groups]
+    return ray.data.from_items(rows, override_num_blocks=len(groups)).map_batches(
+        group_task, batch_format="pyarrow", batch_size=None
+    )
 
 
 def _wave_chain(
@@ -390,9 +401,10 @@ def _wave_chain(
 
     The chain is ``_group_tasks`` of the groups with ``write`` as its
     ``fn``: one task per group reads the group's files less the row
-    offsets ``drop`` lists (the later copies of duplicated ids, from
-    ``scan_duplicates``), tagged with the ``path`` that ``writer`` keys
-    on, and runs ``write`` on each piece of at most ``batch_size`` rows.
+    offsets ``drop`` lists for them (the later copies of duplicated ids,
+    from ``scan_duplicates``; each group's row carries its files' share),
+    tagged with the ``path`` that ``writer`` keys on, and runs ``write``
+    on each piece of at most ``batch_size`` rows.
     ``write`` runs ``extract`` (the run's ``_extractor`` UDF: extract →
     OCR, the engine cached per worker) → ``writer``.
 
@@ -436,15 +448,6 @@ def _wave_chain(
     )
 
 
-def _waves(pending: list) -> list[list]:
-    """``pending`` cut, in order, into waves of 1, 2, 4, 8, … items."""
-    waves, lo = [], 0
-    while lo < len(pending):
-        waves.append(pending[lo : 2 * lo + 1])
-        lo = 2 * lo + 1
-    return waves
-
-
 def run_partitioned(
     input_paths: list[str],
     out_dir: str,
@@ -475,34 +478,39 @@ def run_partitioned(
     offsets of the later copies of each duplicated doc_id, and every
     file's row count) and one broadcast of the jobs lookup. A duplicated
     id is thus written by the partition of its first copy's file, through
-    its normal writer. Pending partitions then run in waves of 1, 2, 4,
-    8, … partitions, one Ray Data execution per wave (``_wave_chain``).
-    The wave's files are cut into groups of at most ``batch_size`` rows
-    from the scan's row counts (``_file_groups``; no footer is read), and
-    each group is one task: pyarrow read less the files' later copies
-    (``_read_group``) → extract → OCR → ``_partition_writer``, which
-    returns the counts of what it wrote (with ``skew_threshold``, the
-    light and heavy stages each run extract → OCR → write). A partition
-    commits once its docs reach the expected count (its files' rows less
-    their later copies, both from the scan), so one holding only later
-    copies commits at once, empty, and its files are not read. A crash
-    redoes at most the running wave, never larger than the work committed
-    before it plus one partition.
+    its normal writer. Pending partitions then run in two waves, one Ray
+    Data execution each (``_wave_chain``): wave 0 is the first pending
+    partition alone, so the first commit comes after one partition's work;
+    wave 1 is every other pending partition, so the executor's start-up is
+    paid twice per run whatever the partition count. A wave's files are
+    cut into groups of at most ``batch_size`` rows from the scan's row
+    counts (``_file_groups``; no footer is read), and each group is one
+    task: pyarrow read less the files' later copies (``_read_group``, the
+    offsets carried in the group's row) → extract → OCR →
+    ``_partition_writer``, which returns the counts of what it wrote (with
+    ``skew_threshold``, the light and heavy stages each run extract → OCR
+    → write). A partition commits once its docs reach the expected count
+    (its files' rows less their later copies, both from the scan), so the
+    partitions of wave 1 still commit one by one as their groups finish,
+    and one holding only later copies commits at once, empty, and its
+    files are not read. A crash redoes the uncommitted partitions of the
+    running execution, and nothing committed.
 
     Manifest rows: the partition's counts (``docs``, ``docs_failed``,
-    ``pages``, ``decode_failures``, ``empty_pages``), ``wave`` (0-based
-    index in this run), ``wall_s`` (the wave's wall time up to this
-    partition's commit) and ``files_md5``. Each wave logs one DEBUG record
-    on the ``pdfz_ray`` logger. OCR runs in the extract task with a
-    per-worker engine cache. ``metrics``: the name of a live
+    ``pages``, ``decode_failures``, ``empty_pages``), ``wave`` (0 for the
+    first partition run, 1 for the rest), ``wall_s`` (the wave's wall time
+    up to this partition's commit) and ``files_md5``. Each wave logs one
+    DEBUG record on the ``pdfz_ray`` logger. OCR runs in the extract task
+    with a per-worker engine cache. ``metrics``: the name of a live
     ``MetricsActor`` (state/metrics.py), pollable mid-run with
     ``live_progress`` (the reference wrote per-page progress to Redis,
-    G2): the ``partitions_total`` gauge, and the ``partitions_done`` and
+    G2): the ``partitions_total`` gauge, sent with a reset of what an
+    earlier run on the same actor counted, and the ``partitions_done`` and
     five lineage counters, sent by the driver as one fire-and-forget call
-    per block of count rows it pulls. They add up the same rows as the
-    manifest, once each however often Ray retried a task, plus those of a
-    partition that never commits. ``batch_size`` (the most rows per
-    extract call and the target rows per read task) and
+    per block of count rows it pulls. They add up the same rows as this
+    run's manifest rows, once each however often Ray retried a task, plus
+    those of a partition that never commits. ``batch_size`` (the most rows
+    per extract call and the target rows per read task) and
     ``skew_threshold``: see ``_wave_chain``.
 
     The returned ``output_dirs`` and ``output_files`` are those of this
@@ -540,7 +548,7 @@ def run_partitioned(
         from ..state.metrics import get_metrics_actor
 
         metrics_actor = get_metrics_actor(metrics)
-        ray.get(metrics_actor.set_gauge.remote(partitions_total=len(chunks)))
+        ray.get(metrics_actor.start_run.remote(partitions_total=len(chunks)))
         if done:
             ray.get(metrics_actor.report.remote(partitions_done=len(done)))
     pending = [(pid, files) for pid, files in chunks if pid not in done]
@@ -550,7 +558,10 @@ def run_partitioned(
         extract = _extractor(
             None if lookup is None else ray.put(lookup), ocr, ocr_engine, ocr_model
         )
-    for k, wave in enumerate(_waves(pending)):
+    # wave 0, the first partition alone, keeps the first commit early;
+    # wave 1 runs the rest in one execution, so a run pays the executor's
+    # start-up at most twice
+    for k, wave in enumerate(w for w in (pending[:1], pending[1:]) if w):
         t0 = time.perf_counter()
         files = [f for _, fs in wave for f in fs]
         tmp = {pid: manifest.begin(pid) for pid, _ in wave}
@@ -580,7 +591,7 @@ def run_partitioned(
                 [f for pid, fs in wave if pid in tmp for f in fs], file_rows, batch_size
             )
             out = _wave_chain(
-                groups, {f: drop[f] for f in files if f in drop}, extract,
+                groups, drop, extract,
                 _partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
                 batch_size=batch_size, skew_threshold=skew_threshold,
             )

@@ -5,9 +5,11 @@ The reference writes per-page progress to Redis, one round trip per page
 write as the anti-pattern). In the rebuild no worker reports: the write
 tasks of ``run_partitioned`` return their lineage counts as count rows,
 and the driver, as it pulls each block of them, sends their sums to this
-actor in ONE fire-and-forget call, beside the ``partitions_total`` gauge
-and the ``partitions_done`` count. Any process in the cluster can poll
-``live_progress`` while the job is in flight.
+actor in ONE fire-and-forget call, beside the ``partitions_done`` count.
+A run starts by resetting the actor with its ``partitions_total`` gauge
+(``start_run``), so the counters hold that run's rows only, however long
+the actor lives. Any process in the cluster can poll ``live_progress``
+while the job is in flight.
 
 Semantics: each write task's rows reach the driver once, even when Ray
 retries the task, so the counters add up exactly the rows written. They
@@ -25,7 +27,8 @@ DEFAULT_NAME = "pdfz_metrics"
 
 @ray.remote(num_cpus=0)
 class MetricsActor:
-    """Tiny named accumulator: counters (monotonic adds) + gauges (sets)."""
+    """Tiny named accumulator: counters (monotonic adds within a run) +
+    gauges (sets), both cleared when a run starts."""
 
     def __init__(self):
         self._counters: dict[str, int] = {}
@@ -35,8 +38,12 @@ class MetricsActor:
         for k, v in counters.items():
             self._counters[k] = self._counters.get(k, 0) + int(v)
 
-    def set_gauge(self, **gauges: int) -> None:
-        self._gauges.update({k: int(v) for k, v in gauges.items()})
+    def start_run(self, **gauges: int) -> None:
+        """A new run: drop every counter and gauge an earlier run left,
+        then set ``gauges``, so a second run on a live actor counts from
+        zero."""
+        self._counters = {}
+        self._gauges = {k: int(v) for k, v in gauges.items()}
 
     def snapshot(self) -> dict:
         return {**self._gauges, **self._counters}

@@ -576,17 +576,24 @@ def waves():
     2k, 50k) on one Ray CPU: many tiny files packed into one task, and one
     large file read in slices. The job path runs at ``batch_size`` 512 and
     2048. One JSON line per point: read tasks per wave (the
-    ``_file_groups`` of each wave), and the medians over 3 fresh jobs,
-    after one warm-up job, of the driver's CPU per job (``RUSAGE_SELF``,
-    so Ray Data's executor threads count) and of ``first_commit_s`` (job
-    start to the first manifest commit); the last job's output is checked
-    against the oracle. Each line also carries one
-    ``build_extract_pipeline(paths)`` run over the same corpus: its file
-    groups, the tasks its group-task operator executed (from ``stats()``;
-    equal to the groups unless Ray bundles groups into one task), and
-    whether its rows match the oracle. Each corpus is written once per
-    rows-per-file value into a temp dir (``TMPDIR``) and removed after its
-    points."""
+    ``_file_groups`` of each wave), Ray Data executions per run (the
+    ``_wave_chain`` calls: at most two, the first partition alone and then
+    the rest), and the medians over 3 fresh jobs, after one warm-up job,
+    of the driver's CPU per job (``RUSAGE_SELF``, so Ray Data's executor
+    threads count) and of ``first_commit_s`` (job start to the first
+    manifest commit); the last job's output is checked against the oracle.
+    Each line also carries one ``build_extract_pipeline(paths)`` run over
+    the same corpus: its file groups, the tasks its group-task operator
+    executed (from ``stats()``; equal to the groups unless Ray bundles
+    groups into one task), and whether its rows match the oracle.
+
+    A last line runs one corpus of 32 files of 500 rows (the shape of the
+    benchmark's ``bulk_lowdup``) at ``partition_size`` 2 (16 partitions)
+    and 32 (one), ``batch_size`` 2048, and gives each one's executions per
+    run, driver CPU, first commit and job wall, and the ratios of size 2
+    to size 32: fine partitions should cost little more than coarse ones.
+    Each corpus is written once into a temp dir (``TMPDIR``) and removed
+    after its points."""
     import re
     import resource
     import tempfile
@@ -602,16 +609,21 @@ def waves():
     os.environ.setdefault("RAY_GRAFT_CPUS", "1")
     ray = init_ray()
     tasks: list[int] = []
-    real_groups = ep._file_groups
+    chains: list[int] = []
+    real_groups, real_chain = ep._file_groups, ep._wave_chain
 
     def counted(*a, **k):
         groups = real_groups(*a, **k)
         tasks.append(len(groups))
         return groups
 
-    ep._file_groups = counted
-    # (rows per file, files, files per partition): ~4 partitions each
-    for rows, n_files, partition_size in ((100, 200, 50), (2_000, 10, 3), (50_000, 1, 1)):
+    def chain(*a, **k):
+        chains.append(1)
+        return real_chain(*a, **k)
+
+    ep._file_groups, ep._wave_chain = counted, chain
+
+    def corpus(d, rows, n_files):
         # make_documents appends one copy of every 11th doc
         tbl = make_documents(rows * n_files * 11 // 12, monster_spans=50)
         tbl = tbl.slice(0, rows * n_files)
@@ -620,11 +632,45 @@ def waves():
             tuple(r.values())
             for r in flatten_results(extract_corpus(tbl.to_pylist(), jobs_table_to_dict(jobs)))
         )
+        paths = []
+        for i in range(n_files):
+            paths.append(os.path.join(d, f"in-{i:04d}.parquet"))
+            pq.write_table(tbl.slice(i * rows, rows), paths[-1])
+        return paths, jobs, want
+
+    def jobs_run(d, paths, jobs, want, partition_size, batch_size):
+        """Medians of 3 timed jobs after a warm-up one, and the last job's
+        executions, tasks per wave and oracle check."""
+        cpu, first, wall = [], [], []
+        for run in range(4):
+            out = os.path.join(d, f"out-{partition_size}-{batch_size}-{run}")
+            tasks.clear()
+            chains.clear()
+            t0, r0 = time.time(), resource.getrusage(resource.RUSAGE_SELF)
+            ep.run_partitioned(
+                paths, out, jobs, partition_size=partition_size,
+                batch_size=batch_size, ocr=True,
+            )
+            r1 = resource.getrusage(resource.RUSAGE_SELF)
+            if run:  # run 0 warms the workers
+                wall.append(time.time() - t0)
+                cpu.append(r1.ru_utime - r0.ru_utime + r1.ru_stime - r0.ru_stime)
+                commits = [r["committed_at"] for r in Manifest(out).completed().values()]
+                first.append(min(commits) - t0)
+        got = flatten_output(pads.dataset(out, format="parquet").to_table())
+        return {
+            "executions": len(chains),
+            "tasks_per_wave": list(tasks),
+            "driver_cpu_s": round(float(np.median(cpu)), 3),
+            "first_commit_s": round(float(np.median(first)), 3),
+            "wall_s": round(float(np.median(wall)), 3),
+            "oracle_exact": sorted(tuple(r.values()) for r in got.to_pylist()) == want,
+        }
+
+    # (rows per file, files, files per partition): ~4 partitions each
+    for rows, n_files, partition_size in ((100, 200, 50), (2_000, 10, 3), (50_000, 1, 1)):
         with tempfile.TemporaryDirectory(prefix="pdfz_waves_") as d:
-            paths = []
-            for i in range(n_files):
-                paths.append(os.path.join(d, f"in-{i:04d}.parquet"))
-                pq.write_table(tbl.slice(i * rows, rows), paths[-1])
+            paths, jobs, want = corpus(d, rows, n_files)
             tasks.clear()
             lib = ep.build_extract_pipeline(paths, jobs, ocr=True).materialize()
             lib_got = flatten_output(pa.concat_tables(ray.get(lib.to_arrow_refs())))
@@ -638,30 +684,24 @@ def waves():
                 "oracle_exact": sorted(tuple(r.values()) for r in lib_got.to_pylist()) == want,
             }
             for batch_size in (512, 2048):
-                cpu, first = [], []
-                for run in range(4):
-                    out = os.path.join(d, f"out-{batch_size}-{run}")
-                    tasks.clear()
-                    t0, r0 = time.time(), resource.getrusage(resource.RUSAGE_SELF)
-                    ep.run_partitioned(
-                        paths, out, jobs, partition_size=partition_size,
-                        batch_size=batch_size, ocr=True,
-                    )
-                    r1 = resource.getrusage(resource.RUSAGE_SELF)
-                    if run:  # run 0 warms the workers
-                        cpu.append(r1.ru_utime - r0.ru_utime + r1.ru_stime - r0.ru_stime)
-                        commits = [r["committed_at"] for r in Manifest(out).completed().values()]
-                        first.append(min(commits) - t0)
-                got = flatten_output(pads.dataset(out, format="parquet").to_table())
                 print(json.dumps({
                     "stress": "waves", "rows_per_file": rows, "files": n_files,
                     "partition_size": partition_size, "batch_size": batch_size,
-                    "tasks_per_wave": list(tasks),
-                    "driver_cpu_s": round(float(np.median(cpu)), 3),
-                    "first_commit_s": round(float(np.median(first)), 3),
-                    "oracle_exact": sorted(tuple(r.values()) for r in got.to_pylist()) == want,
+                    **jobs_run(d, paths, jobs, want, partition_size, batch_size),
                     "library": library,
                 }), flush=True)
+
+    with tempfile.TemporaryDirectory(prefix="pdfz_waves_") as d:
+        paths, jobs, want = corpus(d, 500, 32)
+        sizes = {size: jobs_run(d, paths, jobs, want, size, 2048) for size in (2, 32)}
+        print(json.dumps({
+            "stress": "waves", "rows_per_file": 500, "files": 32, "batch_size": 2048,
+            "partition_size": {str(size): r for size, r in sizes.items()},
+            "ratio_2_to_32": {
+                k: round(sizes[2][k] / sizes[32][k], 3)
+                for k in ("driver_cpu_s", "first_commit_s", "wall_s")
+            },
+        }), flush=True)
     ray.shutdown()
 
 

@@ -410,7 +410,8 @@ def test_resume_of_committed_run_skips_planning(
 ):
     """A run builds the jobs lookup once, through the module global, and
     broadcasts it as one Arrow table (every other table put is a block of
-    a wave's file groups); resubmitting a fully committed run neither
+    a wave's file groups, each row a group's files and drop offsets);
+    resubmitting a fully committed run neither
     scans for duplicates nor builds or broadcasts the lookup: it returns
     before any planning."""
     from pdfz_ray.pipelines import extract_pipeline as ep
@@ -427,9 +428,9 @@ def test_resume_of_committed_run_skips_planning(
     # one lookup per run, from the caller's table, broadcast as one table
     assert lookups == [jobs]
     tables = [v for v in puts if isinstance(v, pa.Table)]
-    groups = [t for t in tables if t.column_names == ["files"]]
+    groups = [t for t in tables if t.column_names == ["files", "drop"]]
     assert groups
-    assert [t.column_names for t in tables if t.column_names != ["files"]] == [
+    assert [t.column_names for t in tables if t.column_names != ["files", "drop"]] == [
         ["doc_id", "start_page", "page_count", "engine_ok"]
     ]
     assert not any(isinstance(v, dict) for v in puts)
@@ -636,22 +637,22 @@ def test_partition_writer_is_retry_safe(tmp_path):
     assert sum(counts.column("docs").to_pylist()) == batch.num_rows
 
 
-def test_waves_double_and_resume_in_order(ray_session, tmp_path, monkeypatch):
-    """Pending partitions run in waves of 1, 2, 4, … partitions, one Ray
-    Data execution (one group read) each; the first partition commits
-    before the second wave is built; the driver reads no parquet footer
-    (expected row counts and the read groups come from the dup scan); a
-    resume runs waves over the pending partitions only and reproduces the
-    fresh run's output row for row."""
+def test_two_waves_and_resume_in_order(ray_session, tmp_path, monkeypatch):
+    """Pending partitions run in two waves, one Ray Data execution (one
+    group read) each: the first partition alone, then every other one; the
+    first partition commits before the second wave is built, and the
+    manifest names each partition's wave; the driver reads no parquet
+    footer (expected row counts and the read groups come from the dup
+    scan); a resume runs the same two waves over the pending partitions
+    only and reproduces the fresh run's output row for row."""
     import json
 
     import pyarrow.dataset as pads
 
     from pdfz_ray.pipelines import extract_pipeline as ep
-    from pdfz_ray.pipelines.extract_pipeline import _waves, run_partitioned
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
     from pdfz_ray.state.manifest import Manifest
 
-    assert [len(w) for w in _waves(list(range(16)))] == [1, 2, 4, 8, 1]
     tbl = make_documents(88, monster_spans=50)  # dup tail in the last file
     paths = []
     for i in range(8):
@@ -678,9 +679,11 @@ def test_waves_double_and_resume_in_order(ray_session, tmp_path, monkeypatch):
     jobs = make_jobs(88)
     res = run_partitioned(paths, out_dir, jobs, partition_size=1, ocr=False)
     assert res["partitions_run"] == list(range(8))
-    assert [r[0] for r in reads] == [[0], [1, 2], [3, 4, 5, 6], [7]]
+    assert [r[0] for r in reads] == [[0], [1, 2, 3, 4, 5, 6, 7]]
     assert reads[1][1] == {0}
     assert footers == []
+    waves = {r["partition_id"]: r["wave"] for r in map(json.loads, open(res["manifest"]))}
+    assert waves == {0: 0, **{pid: 1 for pid in range(1, 8)}}
 
     def rows():
         t = pads.dataset(out_dir, format="parquet").to_table()
@@ -693,7 +696,7 @@ def test_waves_double_and_resume_in_order(ray_session, tmp_path, monkeypatch):
         f.writelines(kept)
     reads.clear()
     res2 = run_partitioned(paths, out_dir, jobs, partition_size=1, ocr=False)
-    assert [r[0] for r in reads] == [[1], [3, 4], [6, 7]]
+    assert [r[0] for r in reads] == [[1], [3, 4, 6, 7]]
     assert res2["partitions_run"] == [1, 3, 4, 6, 7]
     assert res2["partitions_skipped"] == [0, 2, 5]
     assert rows() == fresh
@@ -768,10 +771,11 @@ def test_large_file_reaches_extract_in_batch_slices(ray_session, tmp_path, monke
 
 
 def test_empty_file_and_dup_only_wave_commit(ray_session, tmp_path, monkeypatch):
-    """A 0-row input file and a wave whose rows are all duplicates owned
-    by an earlier partition each commit, with the output oracle-exact: at
-    partition size 1 both commit empty without being read (the dup-only
-    wave runs no execution); at size 4 one read group holds both."""
+    """A 0-row input file and a partition whose rows are all duplicates
+    owned by an earlier partition each commit, with the output
+    oracle-exact: at partition size 1 both commit empty in the second
+    wave without being read (its execution reads only the other
+    partition's file); at size 4 one read group holds both."""
     import json
 
     from pdfz_ray.pipelines import extract_pipeline as ep
@@ -802,7 +806,7 @@ def test_empty_file_and_dup_only_wave_commit(ray_session, tmp_path, monkeypatch)
         assert sorted(rows) == res["partitions_run"]
         if size == 1:
             assert rows[1]["docs"] == 0 and rows[3]["docs"] == 0
-            assert rows[3]["wave"] == 2
+            assert rows[1]["wave"] == rows[3]["wave"] == 1
         out = pa.concat_tables([pq.read_table(f) for f in res["output_files"]])
         got = sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
         assert got == want, size
@@ -916,10 +920,10 @@ def test_job_cli_rejects_sizes_below_one(tmp_path, monkeypatch, capsys):
 
 
 def test_wave_plan_is_logged(ray_session, corpus_files, tmp_path, caplog):
-    """One DEBUG record per wave on the ``pdfz_ray`` logger, which the
-    package leaves silent (no handler, no level); each manifest row names
-    its wave, and the records' dropped later copies add up to the
-    corpus's."""
+    """One DEBUG record per wave, two for four partitions, on the
+    ``pdfz_ray`` logger, which the package leaves silent (no handler, no
+    level); each manifest row names its wave, and the records' dropped
+    later copies add up to the corpus's."""
     import json
     import logging
     import re
@@ -932,17 +936,16 @@ def test_wave_plan_is_logged(ray_session, corpus_files, tmp_path, caplog):
     caplog.set_level(logging.DEBUG, logger="pdfz_ray")
     res = run_partitioned(paths, str(tmp_path / "out"), partition_size=1, ocr=False)
     msgs = [r.getMessage() for r in caplog.records if r.name.startswith("pdfz_ray")]
-    assert len(msgs) == 3
+    assert len(msgs) == 2
     assert msgs[0].startswith("wave 0: partitions [0], 1 files, ")
-    assert msgs[1].startswith("wave 1: partitions [1, 2], 2 files, ")
-    assert msgs[2].startswith("wave 2: partitions [3], 1 files, ")
+    assert msgs[1].startswith("wave 1: partitions [1, 2, 3], 3 files, ")
     assert all("later copies dropped" in m and "winners" not in m for m in msgs)
     dropped = [int(re.search(r"(\d+) later copies dropped", m).group(1)) for m in msgs]
     assert sum(dropped) == tbl.num_rows - len(set(tbl.column("doc_id").to_pylist()))
     waves = {
         r["partition_id"]: r["wave"] for r in map(json.loads, open(res["manifest"]))
     }
-    assert waves == {0: 0, 1: 1, 2: 1, 3: 2}
+    assert waves == {0: 0, 1: 1, 2: 1, 3: 1}
 
 
 def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
@@ -1118,6 +1121,138 @@ def test_worker_killed_mid_wave(ray_session, tmp_path, monkeypatch):
     final = live_progress(name)
     for key in ("docs", "docs_failed", "pages", "decode_failures", "empty_pages"):
         assert final[key] == sum(r[key] for r in rows), (key, final, rows)
+
+
+def test_crash_in_second_wave_redoes_only_uncommitted(ray_session, tmp_path, monkeypatch):
+    """A run that raises right after the first commit of its second wave
+    (``Manifest.commit`` patched from here to raise once it has committed
+    a wave-1 partition) leaves two partitions committed: the first wave's
+    and that one. A resume runs exactly the other partitions, the
+    uncommitted ones of the execution that was running, leaves no temp
+    dir, and its output equals the oracle row for row."""
+    import glob
+
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+    from pdfz_ray.stages.extract import flatten_output
+    from pdfz_ray.state.manifest import Manifest
+
+    tbl = make_documents(88, monster_spans=50)  # dup tail in the last file
+    paths = []
+    for i in range(8):
+        paths.append(str(tmp_path / f"f{i}.parquet"))
+        pq.write_table(tbl.slice(i * 12, 12), paths[-1])
+    out_dir = str(tmp_path / "out")
+    kw = dict(partition_size=1, batch_size=12, ocr=False)
+
+    class Crash(Exception):
+        pass
+
+    real_commit = Manifest.commit
+
+    def commit(self, pid, metrics):
+        real_commit(self, pid, metrics)
+        if metrics["wave"] == 1:
+            raise Crash(pid)
+
+    monkeypatch.setattr(Manifest, "commit", commit)
+    with pytest.raises(Crash):
+        run_partitioned(paths, out_dir, **kw)
+    monkeypatch.setattr(Manifest, "commit", real_commit)
+    committed = set(Manifest(out_dir).completed())
+    assert len(committed) == 2 and 0 in committed, committed
+
+    res = run_partitioned(paths, out_dir, **kw)
+    assert res["partitions_skipped"] == sorted(committed)
+    assert res["partitions_run"] == sorted(set(range(8)) - committed)
+    assert glob.glob(os.path.join(out_dir, ".tmp-*")) == []
+    out = pa.concat_tables(pq.read_table(f) for f in res["output_files"])
+    ids = out.column("doc_id").to_pylist()
+    assert len(ids) == len(set(ids))
+    got = sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
+    assert got == sorted(tuple(r.values()) for r in _oracle_flat(tbl))
+
+
+def test_metrics_reset_per_run(ray_session, corpus_files, tmp_path):
+    """Each run resets the live metrics actor with its ``partitions_total``
+    gauge, so runs on one actor handle do not add up: after a 4-partition
+    run, a 2-partition run reads 2 done of 2 and counters equal to its own
+    manifest sums, and a resume that runs nothing reads its 2 skipped
+    partitions as done and no lineage counts."""
+    import json
+
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+    from pdfz_ray.state.metrics import get_metrics_actor, live_progress
+
+    _, paths = corpus_files
+    name = "pdfz_metrics_reset"
+    actor = get_metrics_actor(name)  # noqa: F841  (held: see test_live_metrics_mid_run)
+    run_partitioned(paths, str(tmp_path / "out1"), partition_size=1, ocr=False, metrics=name)
+    first = live_progress(name)
+    assert first["partitions_done"] == first["partitions_total"] == 4
+
+    out2 = str(tmp_path / "out2")
+    res = run_partitioned(paths, out2, partition_size=2, ocr=False, metrics=name)
+    final = live_progress(name)
+    assert final["partitions_done"] == final["partitions_total"] == 2
+    rows = [json.loads(line) for line in open(res["manifest"])]
+    for key in ("docs", "docs_failed", "pages", "decode_failures", "empty_pages"):
+        assert final[key] == sum(r[key] for r in rows), (key, final, rows)
+
+    res = run_partitioned(paths, out2, partition_size=2, ocr=False, metrics=name)
+    assert res["partitions_run"] == []
+    assert live_progress(name) == {"partitions_total": 2, "partitions_done": 2}
+
+
+def test_group_udf_size_does_not_grow_with_dups(ray_session, tmp_path, monkeypatch):
+    """The drop offsets travel in the group rows, not in the group UDF:
+    the pickled ``map_batches`` fn of ``build_extract_pipeline(paths)``
+    and of each ``run_partitioned`` wave has the same size with no later
+    copies and with half the rows later copies, and both entry points are
+    oracle-exact at 50%."""
+    import cloudpickle
+    import ray.data as rd
+
+    from pdfz_ray.pipelines import extract_pipeline as ep
+    from pdfz_ray.stages.extract import flatten_output
+
+    uniq = make_documents(160, monster_spans=50).slice(0, 160)
+    assert len(set(uniq.column("doc_id").to_pylist())) == 160
+    corpora = {
+        "p00": [uniq.slice(20 * i, 20) for i in range(8)],
+        # each of 80 ids twice: a file's own 10, then the next file's 10
+        "p50": [
+            pa.concat_tables([uniq.slice(10 * i, 10), uniq.slice(10 * ((i + 1) % 8), 10)])
+            for i in range(8)
+        ],
+    }
+    fns = []
+    real_map = rd.Dataset.map_batches
+
+    def spy(self, fn, *a, **k):
+        fns.append(fn)
+        return real_map(self, fn, *a, **k)
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", spy)
+    sizes = {}
+    for name, parts in corpora.items():
+        (tmp_path / name).mkdir()
+        paths = []
+        for i, t in enumerate(parts):
+            paths.append(str(tmp_path / name / f"f{i}.parquet"))
+            pq.write_table(t, paths[-1])
+        want = sorted(tuple(r.values()) for r in _oracle_flat(pa.concat_tables(parts)))
+        fns.clear()
+        lib = ep.build_extract_pipeline(paths, ocr=False).materialize()
+        res = ep.run_partitioned(
+            paths, str(tmp_path / f"out{name}"), partition_size=2, ocr=False
+        )
+        sizes[name] = [len(cloudpickle.dumps(fn)) for fn in fns]
+        assert len(sizes[name]) == 3  # the library chain, then two waves
+        lib_rows = pa.concat_tables(ray_session.get(lib.to_arrow_refs())).drop_columns(["path"])
+        out = pa.concat_tables(pq.read_table(f) for f in res["output_files"])
+        for got in (lib_rows, out):
+            assert sorted(tuple(r.values()) for r in flatten_output(got).to_pylist()) == want
+    assert sizes["p00"] == sizes["p50"], sizes
 
 
 def test_build_extract_pipeline_rejects_empty_paths(ray_session):
