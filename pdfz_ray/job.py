@@ -63,10 +63,11 @@ def main(argv: list[str] | None = None) -> int:
                    help="publish live progress to this named metrics actor "
                         "(poll with pdfz_ray.state.metrics.live_progress)")
     p.add_argument("--skew-threshold", type=int, default=None,
-                   help="extract docs with more spans than this in a "
-                        "second stage, re-blocked into small batches after "
-                        "the read task (pick it above the corpus's typical "
-                        "span count and below its monster docs)")
+                   help="ignored: every wave runs one read → extract → OCR "
+                        "→ write task per group of files, and routing docs "
+                        "above a span count to a second stage changed only "
+                        "how tasks were laid out, never the output; kept so "
+                        "that existing command lines still run")
     p.add_argument("--mode", choices=["extract", "curate"], default="extract",
                    help="extract = the flagship span pipeline; curate = "
                         "write packed training shards of the curated corpus")
@@ -130,7 +131,6 @@ def main(argv: list[str] | None = None) -> int:
             ocr_model=args.model,
             batch_size=args.batch_size,
             metrics=args.metrics,
-            skew_threshold=args.skew_threshold,
         )
         summary = {
             "out_dir": res["out_dir"],

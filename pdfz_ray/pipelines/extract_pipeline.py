@@ -45,9 +45,10 @@ Scale notes (the 100 TB design points):
 - the jobs table is normalized once on the driver into one Arrow lookup
   table (``jobs_table_to_lookup``), broadcast via ``ray.put`` and read
   back zero-copy per batch, never re-shipped or unpickled into Python
-  objects; a batch resolves its rows with one ``index_in``. Each batch
-  hashes the whole lookup's doc_ids anew: about 15 ms per 2,048-row batch
-  at 10^5 jobs rows and 0.25 s at 10^6, on one core
+  objects; a batch hashes its own ids, filters the lookup to them
+  (``is_in``) and resolves its rows with one ``index_in`` against that
+  subset. The filter still scans the whole lookup: about 3-5 ms per
+  2,048-row batch at 10^5 jobs rows and 20-45 ms at 10^6, on one core
   (``scripts/stress.py plan``);
 - OCR runs in the extract task with a per-worker engine cache, as the
   reference's ``process_page`` OCRs each image in place, so OCR scales
@@ -60,8 +61,7 @@ Scale notes (the 100 TB design points):
   travel in its own ``from_items`` row, so what the UDF closes over does
   not grow with the dup count; the tasks of a wave are sized by rows, not
   bytes, so a group of docs far above the median span count is heavier
-  than its neighbours (``skew_threshold`` routes such docs to a second
-  stage);
+  than its neighbours;
 - output is committed per input partition (atomic rename + manifest line)
   as soon as its rows are written, so a resumed run skips finished
   partitions exactly and a crash redoes only the uncommitted partitions of
@@ -92,9 +92,6 @@ log = logging.getLogger(__name__)
 
 # files per scan group task, and scan groups per hash bucket
 _FAN_IN = 32
-
-# rows per heavy-stage block of a routed wave (see ``_wave_chain``)
-_MONSTER_BATCH = 16
 
 
 @ray.remote(num_cpus=1)
@@ -393,7 +390,7 @@ def _group_tasks(
 
 def _wave_chain(
     groups: list[list[str]], drop: dict[str, np.ndarray], extract, writer, *,
-    batch_size: int, skew_threshold: int | None,
+    batch_size: int,
 ) -> "ray.data.Dataset":
     """A wave's execution: the files of ``groups`` (``_file_groups``) →
     the ``_COUNTS`` rows of what ``writer`` (a ``_partition_writer``)
@@ -407,18 +404,6 @@ def _wave_chain(
     on each piece of at most ``batch_size`` rows.
     ``write`` runs ``extract`` (the run's ``_extractor`` UDF: extract →
     OCR, the engine cached per worker) → ``writer``.
-
-    ``skew_threshold`` (size-bucket routing, SURVEY §7.1 M4): the chain
-    becomes light stage → streaming re-block → heavy stage. The light
-    stage, the group task's ``fn`` in place of ``write``, writes the docs
-    of at most ``skew_threshold`` spans and passes the heavier docs on
-    unextracted. The re-block cuts its output into blocks of
-    ``_MONSTER_BATCH`` rows — a map operator, not an all-to-all barrier —
-    so c monsters in one group spread over ⌈c / ``_MONSTER_BATCH``⌉ heavy
-    tasks (Ray's task granularity is the block: ``batch_size`` does not
-    split a block across tasks). The heavy stage writes those docs and
-    passes the light stage's count rows through: between the stages a row
-    is either a count row (``pid`` set) or a heavy doc (``pid`` null).
     """
 
     def write(docs: pa.Table) -> pa.Table:
@@ -426,26 +411,7 @@ def _wave_chain(
             return _COUNTS.empty_table()
         return writer(extract(docs))
 
-    def light(batch: pa.Table) -> pa.Table:
-        n = pc.fill_null(pc.list_value_length(batch.column("spans")), 0)
-        big = pc.greater(n, skew_threshold)
-        counts = write(batch.filter(pc.invert(big)))
-        return pa.concat_tables([batch.filter(big), counts], promote_options="default")
-
-    out = _group_tasks(groups, drop, batch_size, write if skew_threshold is None else light)
-    if skew_threshold is None:
-        return out
-
-    def heavy(batch: pa.Table) -> pa.Table:
-        is_doc = pc.is_null(batch.column("pid"))
-        counts = batch.filter(pc.invert(is_doc)).select(_COUNTS.names)
-        docs = batch.filter(is_doc).drop_columns(_COUNTS.names)
-        return pa.concat_tables([counts.cast(_COUNTS), write(docs)])
-
-    return (
-        out.repartition(target_num_rows_per_block=_MONSTER_BATCH)
-        .map_batches(heavy, batch_format="pyarrow", batch_size=_MONSTER_BATCH)
-    )
+    return _group_tasks(groups, drop, batch_size, write)
 
 
 def run_partitioned(
@@ -459,7 +425,6 @@ def run_partitioned(
     ocr_engine: str = "tesseract",
     ocr_model: str | None = None,
     batch_size: int = 1024,
-    skew_threshold: int | None = None,
     metrics: str | None = None,
 ) -> dict:
     """Checkpoint-resumable run: input files → partitioned parquet output.
@@ -487,9 +452,8 @@ def run_partitioned(
     counts (``_file_groups``; no footer is read), and each group is one
     task: pyarrow read less the files' later copies (``_read_group``, the
     offsets carried in the group's row) → extract → OCR →
-    ``_partition_writer``, which returns the counts of what it wrote (with
-    ``skew_threshold``, the light and heavy stages each run extract → OCR
-    → write). A partition commits once its docs reach the expected count
+    ``_partition_writer``, which returns the counts of what it wrote. A
+    partition commits once its docs reach the expected count
     (its files' rows less their later copies, both from the scan), so the
     partitions of wave 1 still commit one by one as their groups finish,
     and one holding only later copies commits at once, empty, and its
@@ -509,9 +473,8 @@ def run_partitioned(
     five lineage counters, sent by the driver as one fire-and-forget call
     per block of count rows it pulls. They add up the same rows as this
     run's manifest rows, once each however often Ray retried a task, plus
-    those of a partition that never commits. ``batch_size`` (the most rows
-    per extract call and the target rows per read task) and
-    ``skew_threshold``: see ``_wave_chain``.
+    those of a partition that never commits. ``batch_size``: the most rows
+    per extract call and the target rows per read task.
 
     The returned ``output_dirs`` and ``output_files`` are those of this
     run's chunking.
@@ -593,7 +556,7 @@ def run_partitioned(
             out = _wave_chain(
                 groups, drop, extract,
                 _partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
-                batch_size=batch_size, skew_threshold=skew_threshold,
+                batch_size=batch_size,
             )
             # result bundles are pulled on this thread, not on a prefetch
             # thread as in ``iter_batches``: an exception raised while

@@ -26,9 +26,10 @@ from ..schema import OUTPUT_SCHEMA, SPAN_STRUCT
 
 def _job_arrays(doc_ids: pa.Array, jobs: pa.Table | None):
     """Per-row (start_page, page_count, engine_ok) arrays from the broadcast
-    jobs lookup (``jobs.jobs_table_to_lookup``): one ``index_in`` over its
-    doc_ids and one ``take`` per column; a doc without a job gets the
-    default job."""
+    jobs lookup (``jobs.jobs_table_to_lookup``): the lookup filtered to the
+    batch's ids (``is_in``, which hashes the batch, not the lookup), one
+    ``index_in`` over that subset and one ``take`` per column; a doc
+    without a job gets the default job."""
     n = len(doc_ids)
     if jobs is None:
         return (
@@ -36,6 +37,7 @@ def _job_arrays(doc_ids: pa.Array, jobs: pa.Table | None):
             np.zeros(n, np.int64),
             np.ones(n, bool),
         )
+    jobs = jobs.filter(pc.is_in(jobs.column("doc_id"), value_set=doc_ids))
     idx = pc.index_in(doc_ids, value_set=jobs.column("doc_id").combine_chunks())
 
     def take(name: str, default):

@@ -576,7 +576,9 @@ def waves():
     2k, 50k) on one Ray CPU: many tiny files packed into one task, and one
     large file read in slices. The job path runs at ``batch_size`` 512 and
     2048. One JSON line per point: read tasks per wave (the
-    ``_file_groups`` of each wave), Ray Data executions per run (the
+    ``_file_groups`` of each wave), the spans each group task reads (max,
+    median and max/median over the run's groups: the balance of the plan,
+    which no host changes), Ray Data executions per run (the
     ``_wave_chain`` calls: at most two, the first partition alone and then
     the rest), and the medians over 3 fresh jobs, after one warm-up job,
     of the driver's CPU per job (``RUSAGE_SELF``, so Ray Data's executor
@@ -586,6 +588,13 @@ def waves():
     the same corpus: its file groups, the tasks its group-task operator
     executed (from ``stats()``; equal to the groups unless Ray bundles
     groups into one task), and whether its rows match the oracle.
+
+    One more corpus, 8 files of 1,000 rows at ``partition_size`` 2, packs
+    16 monster docs of 2,900 spans (the benchmark's ``skewed_monsters``
+    shape: 2 per file on average) into the head of its last file. A wave
+    has one chain, with no stage that re-blocks such docs, so that file's
+    group is one task whatever the CPU count: its max/median spans per
+    group is the imbalance a span-budget cut of the groups would remove.
 
     A last line runs one corpus of 32 files of 500 rows (the shape of the
     benchmark's ``bulk_lowdup``) at ``partition_size`` 2 (16 partitions)
@@ -600,21 +609,23 @@ def waves():
 
     import pyarrow.dataset as pads
 
-    from pdfz_ray.corpus import make_documents, make_jobs
+    from pdfz_ray.corpus import make_document, make_documents, make_jobs
     from pdfz_ray.oracle import extract_corpus, flatten_results, jobs_table_to_dict
     from pdfz_ray.pipelines import extract_pipeline as ep
+    from pdfz_ray.schema import DOCUMENTS_SCHEMA
     from pdfz_ray.stages.extract import flatten_output
     from pdfz_ray.state.manifest import Manifest
 
     os.environ.setdefault("RAY_GRAFT_CPUS", "1")
     ray = init_ray()
-    tasks: list[int] = []
+    planned: list[list[list[str]]] = []
     chains: list[int] = []
+    file_spans: dict[str, int] = {}
     real_groups, real_chain = ep._file_groups, ep._wave_chain
 
     def counted(*a, **k):
         groups = real_groups(*a, **k)
-        tasks.append(len(groups))
+        planned.append(groups)
         return groups
 
     def chain(*a, **k):
@@ -623,10 +634,21 @@ def waves():
 
     ep._file_groups, ep._wave_chain = counted, chain
 
-    def corpus(d, rows, n_files):
+    def corpus(d, rows, n_files, packed=0):
         # make_documents appends one copy of every 11th doc
         tbl = make_documents(rows * n_files * 11 // 12, monster_spans=50)
-        tbl = tbl.slice(0, rows * n_files)
+        tbl = tbl.slice(0, rows * n_files - packed)
+        if packed:
+            # monster family ids (i % 11 == 9) past every corpus's own
+            big = [
+                make_document(11_000_009 + 11 * j, monster_spans=2_900) for j in range(packed)
+            ]
+            head = rows * (n_files - 1)
+            tbl = pa.concat_tables([
+                tbl.slice(0, head),
+                pa.Table.from_pylist(big, schema=DOCUMENTS_SCHEMA),
+                tbl.slice(head),
+            ])
         jobs = make_jobs(tbl.num_rows)
         want = sorted(
             tuple(r.values())
@@ -635,16 +657,19 @@ def waves():
         paths = []
         for i in range(n_files):
             paths.append(os.path.join(d, f"in-{i:04d}.parquet"))
-            pq.write_table(tbl.slice(i * rows, rows), paths[-1])
+            part = tbl.slice(i * rows, rows)
+            pq.write_table(part, paths[-1])
+            file_spans[paths[-1]] = int(pc.sum(pc.list_value_length(part.column("spans"))).as_py())
         return paths, jobs, want
 
     def jobs_run(d, paths, jobs, want, partition_size, batch_size):
         """Medians of 3 timed jobs after a warm-up one, and the last job's
-        executions, tasks per wave and oracle check."""
+        executions, tasks per wave, spans per group task and oracle
+        check."""
         cpu, first, wall = [], [], []
         for run in range(4):
             out = os.path.join(d, f"out-{partition_size}-{batch_size}-{run}")
-            tasks.clear()
+            planned.clear()
             chains.clear()
             t0, r0 = time.time(), resource.getrusage(resource.RUSAGE_SELF)
             ep.run_partitioned(
@@ -658,20 +683,29 @@ def waves():
                 commits = [r["committed_at"] for r in Manifest(out).completed().values()]
                 first.append(min(commits) - t0)
         got = flatten_output(pads.dataset(out, format="parquet").to_table())
+        spans = [sum(file_spans[f] for f in g) for groups in planned for g in groups]
         return {
             "executions": len(chains),
-            "tasks_per_wave": list(tasks),
+            "tasks_per_wave": [len(groups) for groups in planned],
+            "group_spans": {
+                "max": max(spans),
+                "median": float(np.median(spans)),
+                "max_to_median": round(max(spans) / float(np.median(spans)), 2),
+            },
             "driver_cpu_s": round(float(np.median(cpu)), 3),
             "first_commit_s": round(float(np.median(first)), 3),
             "wall_s": round(float(np.median(wall)), 3),
             "oracle_exact": sorted(tuple(r.values()) for r in got.to_pylist()) == want,
         }
 
-    # (rows per file, files, files per partition): ~4 partitions each
-    for rows, n_files, partition_size in ((100, 200, 50), (2_000, 10, 3), (50_000, 1, 1)):
+    # (rows per file, files, files per partition, packed monsters): ~4
+    # partitions each
+    for rows, n_files, partition_size, packed in (
+        (100, 200, 50, 0), (2_000, 10, 3, 0), (50_000, 1, 1, 0), (1_000, 8, 2, 16)
+    ):
         with tempfile.TemporaryDirectory(prefix="pdfz_waves_") as d:
-            paths, jobs, want = corpus(d, rows, n_files)
-            tasks.clear()
+            paths, jobs, want = corpus(d, rows, n_files, packed)
+            planned.clear()
             lib = ep.build_extract_pipeline(paths, jobs, ocr=True).materialize()
             lib_got = flatten_output(pa.concat_tables(ray.get(lib.to_arrow_refs())))
             (lib_tasks,) = [
@@ -680,12 +714,13 @@ def waves():
                 ) if "group_task" in op
             ]
             library = {
-                "groups": tasks[0], "tasks": lib_tasks,
+                "groups": len(planned[0]), "tasks": lib_tasks,
                 "oracle_exact": sorted(tuple(r.values()) for r in lib_got.to_pylist()) == want,
             }
             for batch_size in (512, 2048):
                 print(json.dumps({
                     "stress": "waves", "rows_per_file": rows, "files": n_files,
+                    "packed_monsters": packed,
                     "partition_size": partition_size, "batch_size": batch_size,
                     **jobs_run(d, paths, jobs, want, partition_size, batch_size),
                     "library": library,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdfz_ray.corpus import make_documents, make_jobs
-from pdfz_ray.jobs import jobs_table_to_lookup
+from pdfz_ray.jobs import jobs_table_to_lookup, validate_engine
 from pdfz_ray.oracle import (
     Job,
     extract_corpus,
@@ -15,7 +15,7 @@ from pdfz_ray.oracle import (
     jobs_table_to_dict,
 )
 from pdfz_ray.schema import DOCUMENTS_SCHEMA
-from pdfz_ray.stages.extract import extract_batch, flatten_output
+from pdfz_ray.stages.extract import _job_arrays, extract_batch, flatten_output
 
 
 def _first_wins(tbl: pa.Table) -> pa.Table:
@@ -59,7 +59,8 @@ def test_lookup_matches_oracle_dict_on_edge_jobs():
     and 0 starts, a null count, "", null, upper- and mixed-case, unknown
     and dotted-capital-I engines, phantom ids and a missing model column;
     and a table without the optional columns gives every doc its
-    defaults."""
+    defaults. A batch id that repeats resolves to its job at every copy,
+    and a null one to the default job."""
     tbl = _first_wins(make_documents(60, monster_spans=40))
     ids = tbl.column("doc_id").to_pylist()
     engines = ["", None, "TESSERACT", "Ollama", "paddle", "İollama", "ollama"]
@@ -71,12 +72,20 @@ def test_lookup_matches_oracle_dict_on_edge_jobs():
         "engine": engines + ["tesseract", "TESSERACT", "Ollama", None],
     })
     assert jobs_table_to_dict(jobs)[ids[0]].start_page == 2  # last row wins
+    repeated = pa.concat_tables([tbl, tbl.take([0, 6, 20, 0])])
+    batch_ids = pa.array([ids[0], None, ids[6], "ghost-2", ids[0], None, ids[20]], pa.string())
     for table in (jobs, jobs.select(["doc_id"])):
-        want = {r.doc_id: r for r in extract_corpus(tbl.to_pylist(), jobs_table_to_dict(table))}
+        by_id = jobs_table_to_dict(table)
+        want = {r.doc_id: r for r in extract_corpus(tbl.to_pylist(), by_id)}
         lookup = jobs_table_to_lookup(table)
         assert lookup.num_rows == len(set(table.column("doc_id").to_pylist()))
-        got = extract_batch(tbl, lookup).to_pylist()
-        assert len(got) == len(want)
+        start, count, ok = _job_arrays(batch_ids, lookup)
+        jobs_of = [by_id.get(d, Job()) for d in batch_ids.to_pylist()]
+        assert start.tolist() == [j.start_page for j in jobs_of]
+        assert count.tolist() == [j.page_count for j in jobs_of]
+        assert ok.tolist() == [validate_engine(j.engine) for j in jobs_of]
+        got = extract_batch(repeated, lookup).to_pylist()
+        assert len(got) == len(want) + 4 == repeated.num_rows
         for row in got:
             o = want[row["doc_id"]]
             assert (row["status"], row["spans"], row["pages"]) == (o.status, o.spans, o.pages)

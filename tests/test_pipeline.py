@@ -147,9 +147,8 @@ def test_scan_duplicates_matches_brute_force_count(
     assert len(launched) == 2
 
 
-def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
-    """run_partitioned (the job path's fused waves; ``job_kw`` go to it
-    alone) is row-identical, less ``path``, to build_extract_pipeline over
+def _check_partitioned_matches_union(corpus_files, tmp_path):
+    """run_partitioned (the job path's fused waves) is row-identical, less ``path``, to build_extract_pipeline over
     the paths at every partition size, with the jobs table, OCR on and
     cross-partition dups; no side file is written, and each duplicated
     id's row sits in the partition of its first copy's file (and, from
@@ -194,9 +193,7 @@ def _check_partitioned_matches_union(corpus_files, tmp_path, **job_kw):
     }
     for size in (1, 2, len(paths)):
         out_dir = str(tmp_path / f"out_part{size}")
-        res = run_partitioned(
-            paths, out_dir, jobs, partition_size=size, ocr=True, **job_kw
-        )
+        res = run_partitioned(paths, out_dir, jobs, partition_size=size, ocr=True)
         assert rows(out_dir) == want, size
         assert not [
             d for d in res["output_dirs"]
@@ -220,13 +217,12 @@ def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path, monkeypatch
     — and equal the oracle over the rows in that order. The job path runs
     at partition sizes 1, 2 and all files, each also with ``batch_size`` 4
     (each id's first copy and its in-file repeat then sit in different
-    slices of one file) and with skew routing on top of that. The driver
-    makes no parquet read while either entry point runs: the scan reads in
-    its tasks, and the first copies stream like every other row."""
+    slices of one file). The driver makes no parquet read while either
+    entry point runs: the scan reads in its tasks, and the first copies
+    stream like every other row."""
     import pyarrow.dataset as pads
 
     from pdfz_ray.corpus import make_document
-    from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.pipelines.extract_pipeline import (
         build_extract_pipeline,
         run_partitioned,
@@ -266,9 +262,6 @@ def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path, monkeypatch
         pq.write_table(tbl, paths[-1])
     want = oracle(order)
     assert want != oracle(sorted(order))
-    # with skew_threshold 5, doc-x's first copy is light and doc-y's heavy
-    spans = {r["doc_id"]: len(r["spans"]) for r in (files["z"][6], files["a"][2])}
-    assert spans[x] <= 5 < spans[y]
 
     reads = []
 
@@ -290,12 +283,7 @@ def test_first_copy_wins_in_caller_file_order(ray_session, tmp_path, monkeypatch
     got = out.map_batches(flatten_output, batch_format="pyarrow").take_all()
     assert reads == []
     assert sorted(tuple(r.values()) for r in got) == want
-    variants = (
-        {},
-        {"batch_size": 4},
-        {"batch_size": 4, "skew_threshold": 5},
-    )
-    monkeypatch.setattr(ep, "_MONSTER_BATCH", 2)
+    variants = ({}, {"batch_size": 4})
     for size in (1, 2, len(paths)):
         for k, kw in enumerate(variants):
             reads.clear()
@@ -312,22 +300,11 @@ def test_run_partitioned_matches_union_topology(ray_session, corpus_files, tmp_p
     _check_partitioned_matches_union(corpus_files, tmp_path)
 
 
-def test_run_partitioned_matches_union_topology_skewed(
-    ray_session, corpus_files, tmp_path, monkeypatch
-):
-    """The same check with size-bucket routing (200-span monsters routed)."""
-    from pdfz_ray.pipelines import extract_pipeline as ep
-
-    monkeypatch.setattr(ep, "_MONSTER_BATCH", 4)
-    _check_partitioned_matches_union(corpus_files, tmp_path, skew_threshold=100)
-
-
-def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
-    """12 monsters contiguous in one file: a routed wave reads once, in
-    the fused read UDF that leads the chain (no ``ReadParquet``), has no
-    union and no all-to-all repartition (the re-block is a streaming map
-    operator), spreads the monsters over ⌈12/2⌉ heavy tasks (one file
-    each, beside the light docs' file), and its output is oracle-exact."""
+def test_wave_of_contiguous_monsters_is_one_chain(ray_session, tmp_path, monkeypatch):
+    """12 monsters contiguous in one file: the wave is the one chain, the
+    fused read → extract → write task per file group after the groups'
+    ``FromItems`` rows, with no ``ReadParquet``, union or repartition,
+    and its output is oracle-exact."""
     import re
 
     import ray.data as rd
@@ -354,9 +331,7 @@ def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
         return chains[-1]
 
     monkeypatch.setattr(ep, "_wave_chain", keep_chain)
-    monkeypatch.setattr(ep, "_MONSTER_BATCH", 2)
-    out_dir = str(tmp_path / "out")
-    res = ep.run_partitioned([path], out_dir, skew_threshold=100)
+    res = ep.run_partitioned([path], str(tmp_path / "out"))
 
     flat = rd.read_parquet(res["output_files"]).map_batches(
         flatten_output, batch_format="pyarrow"
@@ -372,21 +347,14 @@ def test_routed_wave_is_one_linear_chain(ray_session, tmp_path, monkeypatch):
         for op in fused.split("->")
     ]
     # FromItems is the input buffer of the wave's file groups, not a task
-    assert ops[:2] == ["FromItems", "MapBatches(group_task)"], ops
-    assert ops.count("MapBatches(group_task)") == 1, ops
-    assert not [op for op in ops if "ReadParquet" in op], ops
-    assert not [op for op in ops if "Union" in op], ops
-    assert [op for op in ops if "Repartition" in op] == ["StreamingRepartition"], ops
-    (part_dir,) = res["output_dirs"]
-    assert len(os.listdir(part_dir)) >= 12 // 2 + 1
+    assert ops == ["FromItems", "MapBatches(group_task)"], ops
 
 
 def test_skew_routing_rejects_unsupported_combinations(
     ray_session, corpus_files, tmp_path
 ):
-    """Skew routing is a job-path option, and OCR has one path, in the
-    extract task: build_extract_pipeline takes neither option, and
-    run_partitioned no OCR pool size."""
+    """A wave has one chain, and OCR has one path, in the extract task:
+    neither entry point takes a skew threshold or an OCR pool size."""
     import ray.data as rd
 
     from pdfz_ray.pipelines.extract_pipeline import (
@@ -399,10 +367,10 @@ def test_skew_routing_rejects_unsupported_combinations(
         build_extract_pipeline(rd.read_parquet(paths), skew_threshold=100)
     with pytest.raises(TypeError, match="ocr_concurrency"):
         build_extract_pipeline(paths, ocr_concurrency=2)
+    with pytest.raises(TypeError, match="skew_threshold"):
+        run_partitioned(paths, str(tmp_path / "out"), skew_threshold=100)
     with pytest.raises(TypeError, match="ocr_concurrency"):
-        run_partitioned(
-            paths, str(tmp_path / "out"), skew_threshold=100, ocr_concurrency=2
-        )
+        run_partitioned(paths, str(tmp_path / "out"), ocr_concurrency=2)
 
 
 def test_resume_of_committed_run_skips_planning(
@@ -813,28 +781,23 @@ def test_empty_file_and_dup_only_wave_commit(ray_session, tmp_path, monkeypatch)
 
 
 def test_run_partitioned_plans_no_read_parquet(ray_session, corpus_files, tmp_path, monkeypatch):
-    """Neither an unrouted nor a routed run calls ``ray.data.read_parquet``:
-    the waves' reads are planned from the dup scan."""
+    """A run calls no ``ray.data.read_parquet``: the waves' reads are
+    planned from the dup scan."""
     import ray.data as rd
 
-    from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
 
     def boom(*a, **k):
         raise AssertionError("run_partitioned planned a read_parquet")
 
     monkeypatch.setattr(rd, "read_parquet", boom)
-    monkeypatch.setattr(ep, "_MONSTER_BATCH", 4)
     _, paths = corpus_files
-    for kw in ({}, {"skew_threshold": 100}):
-        res = run_partitioned(
-            paths, str(tmp_path / f"out{len(kw)}"), partition_size=2, ocr=False, **kw
-        )
-        assert res["partitions_run"] == [0, 1]
+    res = run_partitioned(paths, str(tmp_path / "out"), partition_size=2, ocr=False)
+    assert res["partitions_run"] == [0, 1]
 
 
 def test_unrouted_wave_is_one_task_per_group(ray_session, corpus_files, tmp_path, monkeypatch):
-    """An unrouted wave executes exactly one operator, the fused read UDF,
+    """A wave executes exactly one operator, the fused read UDF,
     with one task per file group."""
     import re
 
@@ -917,6 +880,45 @@ def test_job_cli_rejects_sizes_below_one(tmp_path, monkeypatch, capsys):
                 job.main(["--input", src, "--out", str(tmp_path / "out"), flag, value])
             assert err.value.code == 2
             assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+
+def test_job_cli_ignores_skew_threshold(ray_session, tmp_path, capsys):
+    """``--skew-threshold`` is accepted and ignored: on a corpus with docs
+    above 400 spans a run with ``--skew-threshold 400`` exits 0, and its
+    output and manifest counts equal those of the same run without it."""
+    import glob
+    import json
+
+    import pyarrow.compute as pc
+
+    from pdfz_ray import job
+
+    tbl = make_documents(120, monster_spans=600)
+    assert pc.max(pc.list_value_length(tbl.column("spans"))).as_py() > 400
+    per = (tbl.num_rows + 2) // 3
+    for i in range(3):
+        pq.write_table(tbl.slice(i * per, per), str(tmp_path / f"d{i}.parquet"))
+
+    def run(name, *extra):
+        out = str(tmp_path / name)
+        argv = ["--input", str(tmp_path / "d*.parquet"), "--out", out, "--partition-size", "1"]
+        assert job.main(argv + list(extra)) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        rows = pa.concat_tables([
+            pq.read_table(f) for f in sorted(glob.glob(os.path.join(out, "part-*", "*.parquet")))
+        ])
+        counts = {}
+        for r in map(json.loads, open(summary["manifest"])):
+            counts[r["partition_id"]] = {
+                k: r[k] for k in ("docs", "docs_failed", "pages", "decode_failures", "empty_pages")
+            }
+        return summary["partitions_run"], rows.sort_by("doc_id"), counts
+
+    ran, got, got_counts = run("routed", "--skew-threshold", "400")
+    assert ran == 3
+    _, want, want_counts = run("plain")
+    assert got.equals(want)
+    assert got_counts == want_counts
 
 
 def test_wave_plan_is_logged(ray_session, corpus_files, tmp_path, caplog):
@@ -1264,14 +1266,13 @@ def test_build_extract_pipeline_rejects_empty_paths(ray_session):
         build_extract_pipeline([], ocr=False)
 
 
-def test_skew_bucketed_pipeline_correct(ray_session, tmp_path, monkeypatch):
-    """Size-bucket routing (SURVEY §7.1 M4): the job path's light stage →
-    streaming re-block → heavy stage is byte-identical to the oracle, with
-    a threshold between the median (≈8) and the monster (1500) spans."""
+def test_skew_bucketed_pipeline_correct(ray_session, tmp_path):
+    """A corpus of docs at the median (≈8) spans with 5 monsters of 1500
+    spans among them: the job path's one chain is byte-identical to the
+    oracle."""
     import ray.data as rd
 
     from pdfz_ray.corpus import make_document
-    from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
     from pdfz_ray.schema import DOCUMENTS_SCHEMA
     from pdfz_ray.stages.extract import flatten_output
@@ -1287,10 +1288,7 @@ def test_skew_bucketed_pipeline_correct(ray_session, tmp_path, monkeypatch):
     for i in range(4):
         paths.append(str(tmp_path / f"f{i}.parquet"))
         pq.write_table(skew_tbl.slice(i * per, per), paths[-1])
-    monkeypatch.setattr(ep, "_MONSTER_BATCH", 4)
-    res = run_partitioned(
-        paths, str(tmp_path / "out"), ocr=False, skew_threshold=100, batch_size=256
-    )
+    res = run_partitioned(paths, str(tmp_path / "out"), ocr=False, batch_size=256)
     flat = rd.read_parquet(res["output_files"]).map_batches(
         flatten_output, batch_format="pyarrow"
     )
@@ -1299,20 +1297,20 @@ def test_skew_bucketed_pipeline_correct(ray_session, tmp_path, monkeypatch):
     assert got == want
 
 
-def test_skew_throughput_holds(ray_session, tmp_path, monkeypatch):
+def test_skew_throughput_holds(ray_session, tmp_path):
     """A parquet corpus where ~1% of docs hold ≥100× the median spans
     (clustered at the end, worst case for row-based blocking) keeps ≥0.8
-    of the uniform corpus's spans/sec — Ray's byte-based read blocking
-    cost-balances blocks because extract cost is ∝ bytes; the routed
-    (skew_threshold) path must hold the same bar. Each leg is a timed
-    ``run_partitioned`` job."""
+    of the uniform corpus's spans/sec. The job path's read tasks are
+    groups of files sized by rows, not bytes, so the monsters' group is
+    heavy; ``extract_batch`` cuts a span-heavy batch into kernel calls of
+    at most ``MAX_SPANS_PER_KERNEL`` spans, so the kernel's cost per span
+    holds. Each leg is a timed ``run_partitioned`` job."""
     import tempfile
     import time
 
     import pyarrow.compute as pc
 
     from pdfz_ray.corpus import make_document
-    from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
     from pdfz_ray.schema import DOCUMENTS_SCHEMA
 
@@ -1340,21 +1338,17 @@ def test_skew_throughput_holds(ray_session, tmp_path, monkeypatch):
     spans = lambda t: int(pc.sum(pc.list_value_length(t.column("spans"))).as_py())  # noqa: E731
     su, ss = spans(uni_tbl), spans(skew_tbl)
 
-    def run(paths, **kw):
+    def run(paths):
         out_dir = tempfile.mkdtemp(dir=tmp_path)
         t0 = time.perf_counter()
-        run_partitioned(paths, out_dir, ocr=False, **kw)
+        run_partitioned(paths, out_dir, ocr=False)
         return time.perf_counter() - t0
 
     run(up)  # warm the worker pool
     tu = run(up)
     ts = run(sp)
-    monkeypatch.setattr(ep, "_MONSTER_BATCH", 2)
-    tr = run(sp, skew_threshold=1000)
     plain_ratio = (ss / ts) / (su / tu)
-    routed_ratio = (ss / tr) / (su / tu)
     assert plain_ratio >= 0.8, f"plain skew ratio {plain_ratio:.2f}"
-    assert routed_ratio >= 0.8, f"routed skew ratio {routed_ratio:.2f}"
 
 
 def _interleave_row_loop_ref(ids, texts):
