@@ -19,7 +19,8 @@ exist before any distributed code runs:
 - OCR text never enters the output record (collected then discarded,
   extractor/src/engine/mod.rs:132-135, types/engine_handler.rs:13-17);
 - ``-corrupt`` doc_id sentinel ⇒ failed doc, no spans (Document::load error
-  path, extractor/src/engine/mod.rs:58 + mod.rs:38-44);
+  path, extractor/src/engine/mod.rs:58 + mod.rs:38-44); a null doc_id
+  fails the same way;
 - duplicate doc_id ⇒ first row wins (in-flight dedup,
   api/src/server.ts:90-103);
 - unknown engine ⇒ failed row (vs the reference's worker panic,
@@ -58,7 +59,7 @@ DEFAULT_JOB = Job()
 
 @dataclass
 class DocResult:
-    doc_id: str
+    doc_id: str | None
     status: str  # "done" | "failed"
     spans: list[dict] = field(default_factory=list)
     pages: int = 0
@@ -66,9 +67,9 @@ class DocResult:
     empty_pages: int = 0
 
 
-def extract_doc(doc_id: str, spans: list[dict], job: Job = DEFAULT_JOB) -> DocResult:
+def extract_doc(doc_id: str | None, spans: list[dict], job: Job = DEFAULT_JOB) -> DocResult:
     """Extract one document. ``spans`` is the interleaved input span list."""
-    if doc_id.endswith(CORRUPT_SUFFIX):
+    if doc_id is None or doc_id.endswith(CORRUPT_SUFFIX):
         return DocResult(doc_id, "failed")
     if job.engine.lower() not in VALID_ENGINES:
         return DocResult(doc_id, "failed")

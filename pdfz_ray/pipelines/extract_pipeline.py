@@ -25,10 +25,10 @@ extract, OCR of the batch's media spans in the same call, the carried
   ``batch_size`` rows from the scan's row counts (``_file_groups``), each
   run as one fused read → drop → extract → OCR → write task, with no
   ``read_parquet`` planning; each group's row carries its files' drop
-  offsets, so no UDF closes over them. The writer splits each batch by
-  partition into the partitions' temp dirs and returns the manifest
-  counts, which the driver sums into the manifest and forwards to the live
-  metrics actor;
+  offsets, so no UDF closes over them. The writer writes each
+  partition's run of a batch into the partition's temp dir and returns
+  the manifest counts, which the driver sums into the manifest and
+  forwards to the live metrics actor;
 - ``build_extract_pipeline`` on a list of paths is the same chain without
   the writer: one dup scan, then one read → drop → extract → OCR task per
   group of about ``_BATCH_ROWS`` rows, as a lazy Dataset. On a caller's
@@ -62,6 +62,15 @@ Scale notes (the 100 TB design points):
   not grow with the dup count; the tasks of a wave are sized by rows, not
   bytes, so a group of docs far above the median span count is heavier
   than its neighbours;
+- the group task's own work is its kernels, so they keep to Arrow and
+  numpy: extract computes each output span's position (per kept page its
+  text span, then its media spans) instead of sorting, OCR receives its
+  payloads through numpy (``to_numpy().tolist()``, not ``to_pylist``),
+  and the writer writes each partition's run of a batch as a zero-copy
+  slice, dictionary-encoding only the columns of few distinct values and
+  keeping statistics only on the top-level scalars: the unique ids and
+  texts gain nothing from either (``scripts/stress.py kernels`` times
+  the four layers in-process);
 - output is committed per input partition (atomic rename + manifest line)
   as soon as its rows are written, so a resumed run skips finished
   partitions exactly and a crash redoes only the uncommitted partitions of
@@ -265,15 +274,32 @@ def build_extract_pipeline(
     return _group_tasks(_file_groups(docs, rows, _BATCH_ROWS), drop, _BATCH_ROWS, extract)
 
 
-def _partition_writer(file_pid: dict[str, int], dirs: dict[int, str]):
-    """Writer UDF of a wave: splits an extraction batch by partition (its
-    ``path`` column through ``file_pid``), writes each part as one parquet
-    file into the partition's temp dir (``dirs``), and returns one
-    ``_COUNTS`` row per part.
+# the output columns a writer dictionary-encodes (few distinct values
+# each; a dictionary over the unique ids or texts only costs time and
+# bytes), and those it keeps statistics for (the top-level scalars: a
+# reader can prune on them, none prunes on a nested leaf)
+_DICT_COLUMNS = [
+    "spans.list.element.kind", "spans.list.element.offset",
+    "status", "pages", "decode_failures", "empty_pages",
+]
+_STATS_COLUMNS = ["doc_id", "status", "pages", "decode_failures", "empty_pages"]
 
-    A file's name is the md5 of the part's source paths and doc_ids, so a
-    retried task overwrites the files of its failed attempt instead of
-    adding copies, and the counts it returns hold for the files left.
+
+def _partition_writer(file_pid: dict[str, int], dirs: dict[int, str]):
+    """Writer UDF of a wave: writes each run of an extraction batch's rows
+    that belong to one partition (its ``path`` column through
+    ``file_pid``) as one parquet file into the partition's temp dir
+    (``dirs``), and returns one ``_COUNTS`` row per run. A batch's rows
+    come in file order and a partition is a run of files, so a run is a
+    zero-copy slice holding all of the batch's rows of its partition (rows
+    out of that order would only give a partition more files).
+
+    A file's name is the md5 of the run's source paths and doc_ids (a null
+    id keyed as ""), so a retried task overwrites the files of its failed
+    attempt instead of adding copies, and the counts it returns hold for
+    the files left. Only the columns of ``_DICT_COLUMNS`` are
+    dictionary-encoded and only those of ``_STATS_COLUMNS`` get
+    statistics.
     """
     import hashlib
 
@@ -286,14 +312,20 @@ def _partition_writer(file_pid: dict[str, int], dirs: dict[int, str]):
         row_pid = pids[
             pc.index_in(batch.column("path"), value_set=paths).to_numpy()
         ]
+        # the first row of each run (-1 is no partition's id)
+        starts = np.flatnonzero(np.diff(row_pid, prepend=-1)).tolist()
         rows = []
-        for pid in np.unique(row_pid).tolist():
-            part = batch.filter(pa.array(row_pid == pid))
+        for lo, hi in zip(starts, starts[1:] + [batch.num_rows]):
+            pid = int(row_pid[lo])
+            part = batch.slice(lo, hi - lo)
             key = pc.unique(part.column("path")).to_pylist()
-            key += part.column("doc_id").to_pylist()
+            key += pc.fill_null(part.column("doc_id"), "").to_numpy().tolist()
             name = hashlib.md5("\n".join(key).encode()).hexdigest()
             part = part.drop_columns(["path"])
-            pq.write_table(part, os.path.join(dirs[pid], f"{name}.parquet"))
+            pq.write_table(
+                part, os.path.join(dirs[pid], f"{name}.parquet"),
+                use_dictionary=_DICT_COLUMNS, write_statistics=_STATS_COLUMNS,
+            )
             rows.append({"pid": pid, **_metrics_of(part)})
         return pa.Table.from_pylist(rows, schema=_COUNTS)
 

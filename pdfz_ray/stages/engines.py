@@ -143,7 +143,9 @@ class OcrStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         col = batch.column("media_payloads").combine_chunks()
-        payloads = col.flatten().to_pylist()
+        # numpy's object array to a list: ~15x cheaper than to_pylist's
+        # per-value Python scalars, and the same list[str] for the engine
+        payloads = col.flatten().to_numpy(zero_copy_only=False).tolist()
         try:
             texts = self._engine.extract_text_from_payloads(payloads)
         except Exception:

@@ -74,6 +74,10 @@ def _empty_output(
     return tbl
 
 
+# output span kinds, taken by index (0: text, 1: media)
+_KINDS = pa.array(["text", "media"], pa.string())
+
+
 # memory guard for skewed batches: a batch whose total span count exceeds
 # this is processed in row chunks (SURVEY.md §4 skew row — block splitting
 # can't split a single row, but it can bound how many wide rows share one
@@ -89,9 +93,9 @@ def extract_batch(
     """documents batch (doc_id, spans) → OUTPUT_SCHEMA batch.
 
     One output row per input row (duplicates are resolved upstream); failed
-    docs (corrupt sentinel / invalid engine) come back with empty span lists
-    and status="failed" so lineage flows without aborting the pipeline
-    (unlike the reference's worker panic, queue_handler.rs:51).
+    docs (corrupt sentinel, null doc_id, invalid engine) come back with
+    empty span lists and status="failed" so lineage flows without aborting
+    the pipeline (unlike the reference's worker panic, queue_handler.rs:51).
 
     With ``emit_payloads`` a ``media_payloads: list<string>`` side column is
     added (payload seed per emitted media span, span order) for the
@@ -127,9 +131,10 @@ def extract_batch(
     spans_col = batch.column("spans").combine_chunks()
 
     start, count, engine_ok = _job_arrays(doc_ids, jobs)
-    corrupt = pc.ends_with(doc_ids, pattern=CORRUPT_SUFFIX).to_numpy(
-        zero_copy_only=False
-    )
+    # a null id fails like a corrupt one
+    corrupt = pc.fill_null(
+        pc.ends_with(doc_ids, pattern=CORRUPT_SUFFIX), True
+    ).to_numpy(zero_copy_only=False)
     failed = corrupt | ~engine_ok
 
     flat = spans_col.flatten()
@@ -149,12 +154,16 @@ def extract_batch(
 
     # drop spans of failed docs, then stable-sort by (doc, page) so each
     # page's spans are contiguous in original intra-page order (the BTreeMap
-    # page ordering, mod.rs:72)
+    # page ordering, mod.rs:72): one int64 key (an int32 page's range times
+    # a batch's docs fits), whose stable sort is near linear on spans that
+    # already come in page order
     alive_idx = np.nonzero(~failed[parent])[0]
     if len(alive_idx) == 0:
         return _empty_output(doc_ids, failed, emit_payloads)
-    order = np.lexsort((alive_idx, offset[alive_idx], parent[alive_idx]))
-    sidx = alive_idx[order]
+    a_off = offset[alive_idx]
+    lo = a_off.min()
+    key = parent[alive_idx] * (a_off.max() - lo + 1) + (a_off - lo)
+    sidx = alive_idx[np.argsort(key, kind="stable")]
     p_s, o_s = parent[sidx], offset[sidx]
     is_text_s, bad_s = is_text[sidx], bad[sidx]
     m = len(sidx)
@@ -220,35 +229,37 @@ def extract_batch(
     )
     med_ref = pc.binary_join_element_wise(med_ref, ".png", "")
 
-    # assemble: per kept page a text span first, then media spans in index
-    # order; global order = (doc, page, text-before-media, media index)
+    # assemble: per kept page its text span, then its media spans in index
+    # order. media_rows run in (doc, page, index) order, so the j-th media
+    # span of kept page k lands at k + 1 + j and page k's text span at k +
+    # (media spans of earlier kept pages): positions, not a sort
     tp, to = page_parent[kept_pages], page_offset[kept_pages]
     nt, nm = len(kept_pages), len(media_rows)
-    out_parent = np.concatenate([tp, med_parent])
-    out_offset = np.concatenate([to, med_offset])
-    out_kind2 = np.concatenate([np.zeros(nt, np.int8), np.ones(nm, np.int8)])
-    out_k3 = np.concatenate([np.zeros(nt, np.int64), med_i])
-    out_order = np.lexsort((out_k3, out_kind2, out_offset, out_parent))
-    take = pa.array(out_order)
-
-    def _cat(a_text: pa.Array, a_media: pa.Array) -> pa.Array:
-        return pa.concat_arrays(
-            [a_text.cast(pa.string()), a_media.cast(pa.string())]
-        ).take(take)
-
-    kind_arr = _cat(
-        pa.array(np.full(nt, "text")), pa.array(np.full(nm, "media"))
-    )
-    text_arr = _cat(page_text.slice(0, nt), pa.array(np.full(nm, "")))
-    ref_arr = _cat(pa.array(np.full(nt, "")), med_ref)
-    off_arr = pa.array(out_offset[out_order].astype(np.int32))
+    med_kp = (np.cumsum(final_page) - 1)[page_gid[media_rows]]
+    text_pos = np.arange(nt) + np.searchsorted(med_kp, np.arange(nt))
+    med_pos = med_kp + 1 + np.arange(nm)
+    is_med_out = np.ones(nt + nm, np.int8)
+    is_med_out[text_pos] = 0
+    # per output position: the index into page_text (text) and into
+    # med_ref (media), each past its end ("") at the other kind
+    text_src = np.full(nt + nm, nt, np.int64)
+    text_src[text_pos] = np.arange(nt)
+    ref_src = np.full(nt + nm, nm, np.int64)
+    ref_src[med_pos] = np.arange(nm)
+    off_out = np.empty(nt + nm, np.int32)
+    off_out[text_pos] = to
+    off_out[med_pos] = med_offset
+    blank = pa.array([""], pa.string())
+    kind_arr = _KINDS.take(pa.array(is_med_out))
+    text_arr = pa.concat_arrays([page_text, blank]).take(pa.array(text_src))
+    ref_arr = pa.concat_arrays([med_ref, blank]).take(pa.array(ref_src))
     struct = pa.StructArray.from_arrays(
-        [kind_arr, text_arr, ref_arr, off_arr],
+        [kind_arr, text_arr, ref_arr, pa.array(off_out)],
         fields=list(SPAN_STRUCT),
     )
 
     # re-nest per doc (docs with no output get empty lists)
-    out_counts = np.bincount(out_parent, minlength=n)
+    out_counts = np.bincount(tp, minlength=n) + np.bincount(med_parent, minlength=n)
     list_offsets = np.zeros(n + 1, np.int64)
     np.cumsum(out_counts, out=list_offsets[1:])
     spans_out = pa.ListArray.from_arrays(

@@ -9,6 +9,7 @@ times. Run from /root/repo (workers import pdfz_ray via the driver cwd):
     python scripts/stress.py rarity      # doc_rarity w/ 10^6-term vocab
     python scripts/stress.py plan        # job-path plan: dup scan + jobs lookup
     python scripts/stress.py waves       # group tasks of both entry points: rows/file × batch size
+    python scripts/stress.py kernels     # a group task's layers in-process, no Ray
 """
 
 from __future__ import annotations
@@ -740,6 +741,90 @@ def waves():
     ray.shutdown()
 
 
+def kernels():
+    """The layers of the job path's group task, timed in-process with no
+    Ray: ``_read_group`` (read less the later copies), ``extract_batch``
+    (with payloads, the jobs lookup), ``ocr_task`` and the job's own
+    writer, ``_partition_writer``. Inputs are the three perfbench corpora
+    (``perfbench.workloads.make_corpus``) at seed 5, cut into the job's
+    file groups at ``batch_size`` 2048 with each workload's partition
+    size; the later copies to drop are found here in (file, row) order, as
+    ``scan_duplicates`` finds them. One JSON line per workload: the median
+    ms over 7 passes of each layer (summed over the pass's pieces) and the
+    bytes the writer left (its file names are the same every pass, so a
+    pass overwrites the last). Corpus and output live in a temp dir
+    (``TMPDIR``), removed after each workload."""
+    import shutil
+    import tempfile
+
+    from perfbench.workloads import WORKLOADS, make_corpus
+    from pdfz_ray.jobs import jobs_table_to_lookup
+    from pdfz_ray.pipelines import extract_pipeline as ep
+    from pdfz_ray.stages.engines import ocr_task
+    from pdfz_ray.stages.extract import extract_batch
+
+    batch_size, seed, passes = 2048, 5, 7
+    layers = ("read", "extract", "ocr", "write")
+    for name, w in WORKLOADS.items():
+        corpus = make_corpus(w, seed)
+        lookup = jobs_table_to_lookup(corpus.jobs)
+        d = tempfile.mkdtemp(prefix="pdfz_kernels_")
+        try:
+            paths, rows, drop, seen = [], {}, {}, set()
+            for i, t in enumerate(corpus.files):
+                paths.append(os.path.join(d, f"in-{i:03d}.parquet"))
+                pq.write_table(t, paths[-1])
+                rows[paths[-1]] = t.num_rows
+                later = []
+                for row, k in enumerate(t.column("doc_id").to_pylist()):
+                    if k in seen:
+                        later.append(row)
+                    seen.add(k)
+                drop[paths[-1]] = np.asarray(later, np.int64)
+            file_pid = {p: i // w.partition_size for i, p in enumerate(paths)}
+            dirs = {}
+            for pid in set(file_pid.values()):
+                dirs[pid] = os.path.join(d, f"out-{pid}")
+                os.makedirs(dirs[pid])
+            writer = ep._partition_writer(file_pid, dirs)
+            groups = ep._file_groups(paths, rows, batch_size)
+            runs = {k: [] for k in layers}
+            for _ in range(passes):
+                t = dict.fromkeys(layers, 0.0)
+                for g in groups:
+                    pieces = ep._read_group(g, [drop[f] for f in g], batch_size)
+                    while True:
+                        t0 = time.perf_counter()
+                        docs = next(pieces, None)
+                        t["read"] += time.perf_counter() - t0
+                        if docs is None:
+                            break
+                        t0 = time.perf_counter()
+                        out = extract_batch(docs, lookup, emit_payloads=True)
+                        t1 = time.perf_counter()
+                        out = ocr_task(out)
+                        t2 = time.perf_counter()
+                        out = out.append_column("path", docs.column("path"))
+                        t3 = time.perf_counter()
+                        writer(out)
+                        t["extract"] += t1 - t0
+                        t["ocr"] += t2 - t1
+                        t["write"] += time.perf_counter() - t3
+                for k in layers:
+                    runs[k].append(t[k] * 1e3)
+            written = sum(
+                os.path.getsize(os.path.join(o, f)) for o in dirs.values() for f in os.listdir(o)
+            )
+            print(json.dumps({
+                "stress": "kernels", "workload": name, "seed": seed,
+                "batch_size": batch_size, "groups": len(groups), "passes": passes,
+                **{f"{k}_ms": round(float(np.median(runs[k])), 1) for k in layers},
+                "out_bytes": written,
+            }), flush=True)
+        finally:
+            shutil.rmtree(d, ignore_errors=True)
+
+
 if __name__ == "__main__":
     {
         "neardup": neardup,
@@ -751,4 +836,5 @@ if __name__ == "__main__":
         "prep1m": prep1m,
         "plan": plan,
         "waves": waves,
+        "kernels": kernels,
     }[sys.argv[1]]()

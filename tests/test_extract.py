@@ -46,11 +46,70 @@ def test_golden_corpus_default_jobs():
     _assert_matches_oracle(make_documents(120, monster_spans=300))
 
 
+def _span(kind: str, text: str, page: int) -> dict:
+    return {"kind": kind, "text": text, "media_ref": "", "offset": page}
+
+
 def test_golden_corpus_with_window_jobs():
+    """The generated corpus under its window jobs, then the edges of the
+    kernel's computed span order (per kept page: its text span, then its
+    media spans), each equal to the oracle: a page of media spans only
+    (listed before their page's text), a page whose media spans all fail
+    to decode, a doc windowed out entirely between two docs with media, a
+    doc of text only, media on the last page a page_count keeps (with the
+    next page's media dropped), and a batch of one span."""
     tbl = make_documents(120, monster_spans=300)
     jobs = make_jobs(120)
     assert jobs_table_to_dict(jobs)  # windowed family present
     _assert_matches_oracle(tbl, jobs)
+
+    edges = pa.Table.from_pylist([
+        {"doc_id": "media-only", "spans": [
+            _span("media", "img-a", 2), _span("text", "two", 2),
+            _span("media", "img-b", 1), _span("media", "img-c", 1),
+        ]},
+        {"doc_id": "out-of-window", "spans": [
+            _span("text", "x", 1), _span("media", "img-x", 1), _span("media", "img-y", 3),
+        ]},
+        {"doc_id": "all-bad", "spans": [
+            _span("text", "one", 1), _span("media", "!bad-1", 1), _span("media", "!bad-2", 1),
+            _span("media", "img-d", 2),
+        ]},
+        {"doc_id": "text-only", "spans": [
+            _span("text", "b", 2), _span("text", "a", 1), _span("text", "c", 2),
+        ]},
+        {"doc_id": "last-kept", "spans": [
+            _span("media", "img-3", 3), _span("text", "p2", 2), _span("media", "!bad-2", 2),
+            _span("media", "img-2", 2), _span("text", "p1", 1), _span("media", "img-1", 1),
+        ]},
+    ], schema=DOCUMENTS_SCHEMA)
+    edge_jobs = pa.table({
+        "doc_id": ["out-of-window", "last-kept"],
+        "start_page": pa.array([5, 1], pa.int32()),
+        "page_count": pa.array([0, 2], pa.int32()),
+    })
+    _assert_matches_oracle(edges, edge_jobs)
+    for kind in ("text", "media"):
+        one = pa.Table.from_pylist(
+            [{"doc_id": "one", "spans": [_span(kind, "img-1", 4)]}], schema=DOCUMENTS_SCHEMA
+        )
+        _assert_matches_oracle(one)
+
+
+def test_null_doc_id_fails_its_row_only():
+    """A null doc_id fails its row like a corrupt one (no spans, zero
+    counts) instead of raising, and every other row equals the oracle."""
+    tbl = make_documents(5)
+    ids = tbl.column("doc_id").to_pylist()
+    ids[2] = None
+    tbl = tbl.set_column(0, "doc_id", pa.array(ids, pa.string()))
+    out = extract_batch(tbl).to_pylist()
+    assert out[2] == {
+        "doc_id": None, "spans": [], "status": "failed",
+        "pages": 0, "decode_failures": 0, "empty_pages": 0,
+    }
+    assert [r["doc_id"] for r in out] == ids
+    _assert_matches_oracle(tbl)
 
 
 def test_lookup_matches_oracle_dict_on_edge_jobs():

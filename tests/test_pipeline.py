@@ -569,20 +569,25 @@ def test_partition_of_only_owned_duplicates(ray_session, tmp_path):
 
 
 def test_partition_writer_is_retry_safe(tmp_path):
-    """The wave writer splits a batch by partition, one file per partition
-    it touches; calling it again on the same batch (a retried task) leaves
-    the same files with the same bytes; its count rows equal the counts of
-    the written files."""
+    """The wave writer writes each partition's run of a batch as one file
+    into that partition's temp dir; calling it again on the same batch (a
+    retried task) leaves the same files with the same bytes; its count
+    rows equal the counts of the written files. Only the columns of few
+    distinct values are dictionary-encoded, and only the top-level
+    scalars carry statistics."""
     import glob
     import pathlib
 
     from pdfz_ray.pipelines.extract_pipeline import _metrics_of, _partition_writer
+    from pdfz_ray.stages.engines import ocr_task
     from pdfz_ray.stages.extract import extract_batch
 
     dirs = {0: str(tmp_path / "t0"), 1: str(tmp_path / "t1")}
     for d in dirs.values():
         os.makedirs(d)
-    batch = extract_batch(make_documents(40, monster_spans=50).slice(0, 40))
+    batch = ocr_task(extract_batch(
+        make_documents(40, monster_spans=50).slice(0, 40), emit_payloads=True
+    ))
     sources = ["a.parquet", "b.parquet", "c.parquet"]
     batch = batch.append_column("path", pa.array([sources[i // 14] for i in range(40)]))
     write = _partition_writer({"a.parquet": 0, "b.parquet": 1, "c.parquet": 1}, dirs)
@@ -602,7 +607,50 @@ def test_partition_writer_is_retry_safe(tmp_path):
         assert "path" not in got.column_names
         row = [r for r in counts.to_pylist() if r["pid"] == pid]
         assert row == [{"pid": pid, **_metrics_of(got)}]
+        meta = pq.ParquetFile(written[0]).metadata.row_group(0)
+        chunks = {
+            meta.column(i).path_in_schema: meta.column(i) for i in range(meta.num_columns)
+        }
+        for name, dictionary in (
+            ("status", True), ("spans.list.element.kind", True),
+            ("ocr_text.list.element", False), ("spans.list.element.text", False),
+        ):
+            assert chunks[name].has_dictionary_page == dictionary, name
+        assert chunks["doc_id"].is_stats_set
+        assert not chunks["spans.list.element.text"].is_stats_set
     assert sum(counts.column("docs").to_pylist()) == batch.num_rows
+
+
+def test_run_partitioned_fails_null_doc_id_row(ray_session, tmp_path):
+    """A file holding a null doc_id runs to the end: the null row is a
+    failed doc (its later null copy dropped as a duplicate, as the
+    oracle's first-wins rule keeps one null), and the output equals the
+    oracle's results row for row."""
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+
+    docs = make_documents(24, monster_spans=50).slice(0, 24)
+    ids = docs.column("doc_id").to_pylist()
+    ids[3] = ids[17] = None
+    docs = docs.set_column(0, "doc_id", pa.array(ids, pa.string()))
+    paths = []
+    for i in range(2):
+        paths.append(str(tmp_path / f"f{i}.parquet"))
+        pq.write_table(docs.slice(i * 12, 12), paths[-1])
+    res = run_partitioned(paths, str(tmp_path / "out"), partition_size=1, ocr=False)
+    out = pa.concat_tables([pq.read_table(f) for f in res["output_files"]])
+
+    def key(r):
+        return (r["doc_id"] is not None, r["doc_id"] or "")
+
+    got = sorted(out.to_pylist(), key=key)
+    want = sorted(
+        ({"doc_id": o.doc_id, "spans": o.spans, "status": o.status, "pages": o.pages,
+          "decode_failures": o.decode_failures, "empty_pages": o.empty_pages}
+         for o in extract_corpus(docs.to_pylist())),
+        key=key,
+    )
+    assert got == want
+    assert got[0]["doc_id"] is None and got[0]["status"] == "failed"
 
 
 def test_two_waves_and_resume_in_order(ray_session, tmp_path, monkeypatch):
