@@ -37,6 +37,8 @@ def _at_least_one(text: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .pipelines.extract_pipeline import BATCH_ROWS
+
     p = argparse.ArgumentParser(description="pdfz_ray extraction job")
     p.add_argument("--input", required=True,
                    help="input parquet file(s) or glob of the interleaved docs table")
@@ -50,13 +52,15 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--no-ocr", action="store_true")
     p.add_argument("--no-resume", action="store_true",
                    help="reprocess committed partitions")
-    p.add_argument("--batch-size", type=_at_least_one, default=2048,
+    p.add_argument("--batch-size", type=_at_least_one, default=BATCH_ROWS,
                    help="most rows per extract kernel call, and the target "
                         "rows per read task: the files of each of the two "
                         "executions (the first partition, then the rest in "
                         "one execution) are grouped into tasks of up to "
-                        "this many rows, and a larger file is read in "
-                        "slices of this many rows")
+                        "this many rows, each task reads its files in "
+                        "pieces of at most this many rows from one "
+                        "partition's files, and a larger file is read in "
+                        "slices of this many rows (default %(default)s)")
     p.add_argument("--num-cpus", type=_at_least_one, default=None,
                    help="ray.init num_cpus when starting a local session")
     p.add_argument("--metrics", default=None, metavar="NAME",

@@ -12,28 +12,28 @@ and every later copy is dropped by its row offset as its file is read.
 ``scan_duplicates`` picks those offsets from the input files and
 ``_read_group`` reads a group of files less them. Both entry points run
 one chain on input files: one task per group of files (``_group_tasks``)
-reads its group and runs the per-batch extract UDF (``_extractor``:
-extract, OCR of the batch's media spans in the same call, the carried
-``path`` column) on each piece:
+reads its group in pieces, each from the files of one partition, and runs
+the per-batch extract UDF (``_extractor``: extract, OCR of the batch's
+media spans in the same call) on each piece:
 
 - ``run_partitioned``, the job path (``python -m pdfz_ray.job``), plans
   once per run: one dup scan gives the offsets to drop and every file's
   row count, and one ``ray.put`` broadcasts the jobs lookup table. It then
-  runs the pending partitions in two waves, one Ray Data execution each
-  (``_wave_chain``): the first partition alone, then the rest in one
-  execution. A wave's files are cut on the driver into groups of about
-  ``batch_size`` rows from the scan's row counts (``_file_groups``), each
-  run as one fused read → drop → extract → OCR → write task, with no
-  ``read_parquet`` planning; each group's row carries its files' drop
-  offsets, so no UDF closes over them. The writer writes each
-  partition's run of a batch into the partition's temp dir and returns
-  the manifest counts, which the driver sums into the manifest and
-  forwards to the live metrics actor;
+  runs the pending partitions in two waves, one Ray Data execution each:
+  the first partition alone, then the rest in one execution. A wave's
+  files are cut on the driver into groups of about ``batch_size`` rows
+  from the scan's row counts (``_file_groups``), each run as one fused
+  read → drop → extract → OCR → write task, with no ``read_parquet``
+  planning; each group's row carries its files' partition ids and drop
+  offsets, so no UDF closes over plan data. The writer writes each piece
+  as one file into its partition's temp dir and returns the manifest
+  counts, which the driver sums into the manifest and forwards to the
+  live metrics actor;
 - ``build_extract_pipeline`` on a list of paths is the same chain without
-  the writer: one dup scan, then one read → drop → extract → OCR task per
-  group of about ``_BATCH_ROWS`` rows, as a lazy Dataset. On a caller's
-  documents Dataset (``entry()``'s interleaved flat docs) it maps the
-  extract UDF over it as is, without dedup.
+  the writer, every file in partition 0: one dup scan, then one read →
+  drop → extract → OCR task per group of about ``BATCH_ROWS`` rows, as a
+  lazy Dataset. On a caller's documents Dataset (``entry()``'s interleaved
+  flat docs) it maps the extract UDF over it as is, without dedup.
 
 Scale notes (the 100 TB design points):
 - exact dedup never shuffles payloads and builds nothing per id on the
@@ -57,25 +57,25 @@ Scale notes (the 100 TB design points):
   emit_payloads=True)`` output (tests/test_extension.py);
 - a read task reads a group of files of at most ``batch_size`` rows
   in total, or one larger file in slices of ``batch_size`` rows, so its
-  memory is bounded by the batch, not by the file; a group's drop offsets
-  travel in its own ``from_items`` row, so what the UDF closes over does
-  not grow with the dup count; the tasks of a wave are sized by rows, not
-  bytes, so a group of docs far above the median span count is heavier
-  than its neighbours;
+  memory is bounded by the batch, not by the file; a group's partition
+  ids and drop offsets travel in its own ``from_items`` row, so what the
+  UDF closes over grows neither with the dup count nor with the wave;
+  the tasks of a wave are sized by rows, not bytes, so a group of docs far
+  above the median span count is heavier than its neighbours;
 - the group task's own work is its kernels, so they keep to Arrow and
   numpy: extract computes each output span's position (per kept page its
   text span, then its media spans) instead of sorting, OCR receives its
   payloads through numpy (``to_numpy().tolist()``, not ``to_pylist``),
-  and the writer writes each partition's run of a batch as a zero-copy
-  slice, dictionary-encoding only the columns of few distinct values and
-  keeping statistics only on the top-level scalars: the unique ids and
-  texts gain nothing from either (``scripts/stress.py kernels`` times
-  the four layers in-process);
+  and the writer writes each piece whole, dictionary-encoding only the
+  columns of few distinct values and keeping statistics only on the
+  top-level scalars: the unique ids and texts gain nothing from either
+  (``scripts/stress.py kernels`` times the four layers in-process);
 - output is committed per input partition (atomic rename + manifest line)
   as soon as its rows are written, so a resumed run skips finished
   partitions exactly and a crash redoes only the uncommitted partitions of
-  the running execution; a run starts at most two executions, whatever
-  its partition count.
+  the running execution, which an exception on the driver stops before
+  it propagates; a run starts at most two executions, whatever its
+  partition count.
 """
 
 from __future__ import annotations
@@ -212,30 +212,27 @@ _COUNTS = pa.schema(
 )
 
 
-# rows per extract call of ``build_extract_pipeline``, and the most rows
-# of one of its file groups
-_BATCH_ROWS = 1024
+# rows per extract call and the most rows of a file group: the batch size
+# of ``build_extract_pipeline`` and the default of ``run_partitioned`` and
+# of the job CLI's ``--batch-size``
+BATCH_ROWS = 2048
 
 
-def _extractor(
-    jobs_ref: "ray.ObjectRef | None", ocr: bool, ocr_engine: str, ocr_model: str | None
-):
-    """Extract UDF of both entry points, built once per run. ``jobs_ref``
-    is ``ray.put`` of the Arrow jobs lookup (None for no jobs), made once
-    by the caller and read back zero-copy per batch. With ``ocr`` the
-    batch's media payloads are emitted and OCR'd in the same call by
-    ``ocr_task`` (the engine cached per worker). A ``path`` column (each
-    row's source file) rides along. It counts nothing: the job path's
-    lineage counts come from its write tasks (``_COUNTS`` rows)."""
+def _extractor(jobs: pa.Table | None, ocr: bool, ocr_engine: str, ocr_model: str | None):
+    """Extract UDF of both entry points, built once per run. ``jobs`` (None
+    for no jobs) is normalized into its Arrow lookup
+    (``jobs_table_to_lookup``) and broadcast with one ``ray.put`` here,
+    then read back zero-copy per batch. With ``ocr`` the batch's media
+    payloads are emitted and OCR'd in the same call by ``ocr_task`` (the
+    engine cached per worker). It counts nothing: the job path's lineage
+    counts come from its write tasks (``_COUNTS`` rows)."""
+    lookup = jobs_table_to_lookup(jobs)
+    jobs_ref = None if lookup is None else ray.put(lookup)
 
     def extract(batch: pa.Table) -> pa.Table:
         lookup = ray.get(jobs_ref) if jobs_ref is not None else None
         out = extract_batch(batch, lookup, emit_payloads=ocr)
-        if ocr:
-            out = ocr_task(out, engine=ocr_engine, model=ocr_model)
-        if "path" in batch.column_names:
-            out = out.append_column("path", batch.column("path"))
-        return out
+        return ocr_task(out, engine=ocr_engine, model=ocr_model) if ocr else out
 
     return extract
 
@@ -256,22 +253,23 @@ def build_extract_pipeline(
     duplicated doc_id only the first copy in (file order — the order of
     ``docs``, not lexicographic — then row order) is extracted. This is
     the job path's chain without its writer: one ``scan_duplicates``, then
-    one task per group of files of about ``_BATCH_ROWS`` rows
-    (``_group_tasks``), and each output row carries its file's ``path``.
-    ``docs`` as a Dataset of documents (``doc_id``, ``spans``) is
-    extracted as is, in batches of ``_BATCH_ROWS`` rows. An empty list of
-    paths raises ``ValueError``.
+    one task per group of files of about ``BATCH_ROWS`` rows
+    (``_group_tasks``, every file in partition 0, so a group's small files
+    make one piece). ``docs`` as a Dataset of documents (``doc_id``,
+    ``spans``) is extracted as is, in batches of ``BATCH_ROWS`` rows.
+    Output rows have the extraction schema only. An empty list of paths
+    raises ``ValueError``.
     """
     if not isinstance(docs, ray.data.Dataset) and not docs:
         raise ValueError("build_extract_pipeline: docs is an empty list of paths")
-    lookup = jobs_table_to_lookup(jobs)
-    extract = _extractor(
-        None if lookup is None else ray.put(lookup), ocr, ocr_engine, ocr_model
-    )
+    extract = _extractor(jobs, ocr, ocr_engine, ocr_model)
     if isinstance(docs, ray.data.Dataset):
-        return docs.map_batches(extract, batch_format="pyarrow", batch_size=_BATCH_ROWS)
+        return docs.map_batches(extract, batch_format="pyarrow", batch_size=BATCH_ROWS)
     _, drop, rows = scan_duplicates(docs)
-    return _group_tasks(_file_groups(docs, rows, _BATCH_ROWS), drop, _BATCH_ROWS, extract)
+    return _group_tasks(
+        _file_groups(docs, rows, BATCH_ROWS), dict.fromkeys(docs, 0), drop, BATCH_ROWS,
+        lambda _, piece: extract(piece),
+    )
 
 
 # the output columns a writer dictionary-encodes (few distinct values
@@ -285,49 +283,34 @@ _DICT_COLUMNS = [
 _STATS_COLUMNS = ["doc_id", "status", "pages", "decode_failures", "empty_pages"]
 
 
-def _partition_writer(file_pid: dict[str, int], dirs: dict[int, str]):
-    """Writer UDF of a wave: writes each run of an extraction batch's rows
-    that belong to one partition (its ``path`` column through
-    ``file_pid``) as one parquet file into the partition's temp dir
-    (``dirs``), and returns one ``_COUNTS`` row per run. A batch's rows
-    come in file order and a partition is a run of files, so a run is a
-    zero-copy slice holding all of the batch's rows of its partition (rows
-    out of that order would only give a partition more files).
+def _partition_writer(out_dir: str):
+    """Writer of a wave: ``write(pid, part)`` writes ``part``, extraction
+    output whose rows all come from partition ``pid``'s files (a piece of
+    ``_read_group``), as one parquet file into that partition's temp dir
+    under ``out_dir``, and returns its one ``_COUNTS`` row.
 
-    A file's name is the md5 of the run's source paths and doc_ids (a null
-    id keyed as ""), so a retried task overwrites the files of its failed
-    attempt instead of adding copies, and the counts it returns hold for
-    the files left. Only the columns of ``_DICT_COLUMNS`` are
-    dictionary-encoded and only those of ``_STATS_COLUMNS`` get
+    A file's name is the md5 of the piece's doc_ids (a null id keyed as
+    ""), so a retried task overwrites the file of its failed attempt
+    instead of adding a copy, and the counts it returns hold for the files
+    left; two pieces of one partition never share a name, since a
+    partition holds each id once. Only the columns of ``_DICT_COLUMNS``
+    are dictionary-encoded and only those of ``_STATS_COLUMNS`` get
     statistics.
     """
     import hashlib
 
     import pyarrow.parquet as pq
 
-    paths = pa.array(list(file_pid), pa.string())
-    pids = np.array(list(file_pid.values()), np.int64)
+    temp_dir = Manifest(out_dir).temp_dir
 
-    def write(batch: pa.Table) -> pa.Table:
-        row_pid = pids[
-            pc.index_in(batch.column("path"), value_set=paths).to_numpy()
-        ]
-        # the first row of each run (-1 is no partition's id)
-        starts = np.flatnonzero(np.diff(row_pid, prepend=-1)).tolist()
-        rows = []
-        for lo, hi in zip(starts, starts[1:] + [batch.num_rows]):
-            pid = int(row_pid[lo])
-            part = batch.slice(lo, hi - lo)
-            key = pc.unique(part.column("path")).to_pylist()
-            key += pc.fill_null(part.column("doc_id"), "").to_numpy().tolist()
-            name = hashlib.md5("\n".join(key).encode()).hexdigest()
-            part = part.drop_columns(["path"])
-            pq.write_table(
-                part, os.path.join(dirs[pid], f"{name}.parquet"),
-                use_dictionary=_DICT_COLUMNS, write_statistics=_STATS_COLUMNS,
-            )
-            rows.append({"pid": pid, **_metrics_of(part)})
-        return pa.Table.from_pylist(rows, schema=_COUNTS)
+    def write(pid: int, part: pa.Table) -> pa.Table:
+        ids = pc.fill_null(part.column("doc_id"), "").to_numpy().tolist()
+        name = hashlib.md5("\n".join(ids).encode()).hexdigest()
+        pq.write_table(
+            part, os.path.join(temp_dir(pid), f"{name}.parquet"),
+            use_dictionary=_DICT_COLUMNS, write_statistics=_STATS_COLUMNS,
+        )
+        return pa.Table.from_pylist([{"pid": pid, **_metrics_of(part)}], schema=_COUNTS)
 
     return write
 
@@ -355,95 +338,83 @@ def _file_groups(
     return groups
 
 
-def _read_group(files: list[str], drops: list[np.ndarray], batch_size: int):
-    """The rows of ``files`` (``doc_id`` and ``spans``, plus ``path``: the
-    input string of each row's file) less the row offsets in ``drops``
-    (one sorted array per file, in ``files`` order, from
-    ``scan_duplicates``), as tables of at most ``batch_size`` rows, at
-    least one. A file of more than ``batch_size`` rows is read in slices of
-    that many rows; smaller files are read whole and concatenated."""
+def _read_group(
+    files: list[str], pids: list[int], drops: list[np.ndarray], batch_size: int
+):
+    """The rows of ``files`` (``doc_id`` and ``spans``) less the row offsets
+    in ``drops`` (one sorted array per file, in ``files`` order, from
+    ``scan_duplicates``), as ``(pid, piece)`` pairs: ``pids`` holds each
+    file's partition id, and a piece of at most ``batch_size`` rows holds
+    the rows of one run of files of equal pid, so no piece holds two
+    partitions' rows; at least one piece per run. A file of more than
+    ``batch_size`` rows is read in slices of that many rows; a run's
+    smaller files are read whole and concatenated."""
+    import itertools
+
     import pyarrow.parquet as pq
 
-    def kept(t: pa.Table, path: str, offsets: np.ndarray, lo: int) -> pa.Table:
+    def kept(t: pa.Table, offsets: np.ndarray, lo: int) -> pa.Table:
         if len(offsets):
             a, b = np.searchsorted(offsets, [lo, lo + t.num_rows])
             keep = np.ones(t.num_rows, bool)
             keep[offsets[a:b] - lo] = False
             t = t.filter(keep)
-        return t.append_column("path", pa.array([path] * t.num_rows, pa.string()))
+        return t
 
-    small = []
-    for f, offsets in zip(files, drops):
-        pf = pq.ParquetFile(f)
-        if pf.metadata.num_rows <= batch_size:
-            small.append(kept(pf.read(_READ_COLUMNS, use_threads=False), f, offsets, 0))
-            continue
-        lo = 0
-        for rb in pf.iter_batches(batch_size, columns=_READ_COLUMNS, use_threads=False):
-            yield kept(pa.Table.from_batches([rb]), f, offsets, lo)
-            lo += rb.num_rows
-    if small:
-        docs = pa.concat_tables(small)
-        # an empty piece too: a task that yields no table gives Ray a
-        # block without a schema
-        for lo in range(0, max(docs.num_rows, 1), batch_size):
-            yield docs.slice(lo, batch_size)
+    for pid, run in itertools.groupby(zip(files, pids, drops), key=lambda x: x[1]):
+        small = []
+        for f, _, offsets in run:
+            pf = pq.ParquetFile(f)
+            if pf.metadata.num_rows <= batch_size:
+                small.append(kept(pf.read(_READ_COLUMNS, use_threads=False), offsets, 0))
+                continue
+            lo = 0
+            for rb in pf.iter_batches(batch_size, columns=_READ_COLUMNS, use_threads=False):
+                yield pid, kept(pa.Table.from_batches([rb]), offsets, lo)
+                lo += rb.num_rows
+        if small:
+            docs = pa.concat_tables(small)
+            # an empty piece too: a task that yields no table gives Ray a
+            # block without a schema
+            for lo in range(0, max(docs.num_rows, 1), batch_size):
+                yield pid, docs.slice(lo, batch_size)
 
 
 def _group_tasks(
-    groups: list[list[str]], drop: dict[str, np.ndarray], batch_size: int, fn
+    groups: list[list[str]], pid_of: dict[str, int], drop: dict[str, np.ndarray],
+    batch_size: int, fn,
 ) -> "ray.data.Dataset":
     """One task per group of files (``_file_groups``): ``from_items`` of
     one row per group, one block each, and one ``map_batches`` UDF,
     ``group_task``, that reads its group less its files' dropped row
-    offsets (``_read_group``: pieces of at most ``batch_size`` rows, tagged
-    with ``path``) and yields ``fn`` of each piece. A group's row carries
-    its ``files`` beside their ``drop`` offsets (from ``drop``, per file;
-    empty for a file ``drop`` does not list), so the plan data travels
-    with its group and the UDF closes over nothing that grows with the dup
-    count. There is no ``read_parquet``: its planning per execution (file
-    stats, footer fetch tasks, encoding-ratio sampling tasks) and its
+    offsets (``_read_group``: pieces of at most ``batch_size`` rows, each
+    from one partition's files) and yields ``fn(pid, piece)`` of each
+    piece. A group's row carries its ``files`` beside their partition ids
+    (``pid``, from ``pid_of``) and ``drop`` offsets (from ``drop``, per
+    file; empty for a file ``drop`` does not list), so the plan data
+    travels with its group and the UDF closes over nothing that grows with
+    the data. There is no ``read_parquet``: its planning per execution
+    (file stats, footer fetch tasks, encoding-ratio sampling tasks) and its
     unfused read task per file cost more than the kernels on a small wave
     (measured). The UDF takes whole blocks (``batch_size=None``), so Ray
     bundles no two groups into one task."""
 
     def group_task(group: pa.Table):
         (files,) = group.column("files").to_pylist()
+        (pids,) = group.column("pid").to_pylist()
         (drops,) = group.column("drop").to_pylist()
-        for docs in _read_group(files, [np.asarray(d, np.int64) for d in drops], batch_size):
-            yield fn(docs)
+        drops = [np.asarray(d, np.int64) for d in drops]
+        for pid, piece in _read_group(files, pids, drops, batch_size):
+            yield fn(pid, piece)
 
     none = np.zeros(0, np.int64)
-    rows = [{"files": g, "drop": [drop.get(f, none) for f in g]} for g in groups]
+    rows = [
+        {"files": g, "pid": [pid_of[f] for f in g], "drop": [drop.get(f, none) for f in g]}
+        for g in groups
+    ]
     return ray.data.from_items(rows, override_num_blocks=len(groups)).map_batches(
         group_task, batch_format="pyarrow", batch_size=None
     )
-
-
-def _wave_chain(
-    groups: list[list[str]], drop: dict[str, np.ndarray], extract, writer, *,
-    batch_size: int,
-) -> "ray.data.Dataset":
-    """A wave's execution: the files of ``groups`` (``_file_groups``) →
-    the ``_COUNTS`` rows of what ``writer`` (a ``_partition_writer``)
-    wrote.
-
-    The chain is ``_group_tasks`` of the groups with ``write`` as its
-    ``fn``: one task per group reads the group's files less the row
-    offsets ``drop`` lists for them (the later copies of duplicated ids,
-    from ``scan_duplicates``; each group's row carries its files' share),
-    tagged with the ``path`` that ``writer`` keys on, and runs ``write``
-    on each piece of at most ``batch_size`` rows.
-    ``write`` runs ``extract`` (the run's ``_extractor`` UDF: extract →
-    OCR, the engine cached per worker) → ``writer``.
-    """
-
-    def write(docs: pa.Table) -> pa.Table:
-        if not docs.num_rows:
-            return _COUNTS.empty_table()
-        return writer(extract(docs))
-
-    return _group_tasks(groups, drop, batch_size, write)
 
 
 def run_partitioned(
@@ -456,7 +427,7 @@ def run_partitioned(
     ocr: bool = True,
     ocr_engine: str = "tesseract",
     ocr_model: str | None = None,
-    batch_size: int = 1024,
+    batch_size: int = BATCH_ROWS,
     metrics: str | None = None,
 ) -> dict:
     """Checkpoint-resumable run: input files → partitioned parquet output.
@@ -476,21 +447,25 @@ def run_partitioned(
     file's row count) and one broadcast of the jobs lookup. A duplicated
     id is thus written by the partition of its first copy's file, through
     its normal writer. Pending partitions then run in two waves, one Ray
-    Data execution each (``_wave_chain``): wave 0 is the first pending
+    Data execution each (``_group_tasks``): wave 0 is the first pending
     partition alone, so the first commit comes after one partition's work;
     wave 1 is every other pending partition, so the executor's start-up is
     paid twice per run whatever the partition count. A wave's files are
     cut into groups of at most ``batch_size`` rows from the scan's row
     counts (``_file_groups``; no footer is read), and each group is one
     task: pyarrow read less the files' later copies (``_read_group``, the
-    offsets carried in the group's row) → extract → OCR →
-    ``_partition_writer``, which returns the counts of what it wrote. A
-    partition commits once its docs reach the expected count
-    (its files' rows less their later copies, both from the scan), so the
-    partitions of wave 1 still commit one by one as their groups finish,
-    and one holding only later copies commits at once, empty, and its
-    files are not read. A crash redoes the uncommitted partitions of the
-    running execution, and nothing committed.
+    files' partition ids and offsets carried in the group's row, in pieces
+    of one partition each) → extract → OCR → ``_partition_writer``, which
+    writes each piece as one file and returns its counts. A partition
+    commits once its docs reach the expected count (its files' rows less
+    their later copies, both from the scan), so the partitions of wave 1
+    still commit one by one as their groups finish, and one holding only
+    later copies commits at once, empty, and its files are not read. A
+    crash redoes the uncommitted partitions of the running execution, and
+    nothing committed. An exception raised on the driver while a wave runs
+    (a failed commit, say) shuts that execution down, its running tasks
+    cancelled, before it propagates, so a resume in the same process meets
+    no write task of the failed run.
 
     Manifest rows: the partition's counts (``docs``, ``docs_failed``,
     ``pages``, ``decode_failures``, ``empty_pages``), ``wave`` (0 for the
@@ -549,17 +524,22 @@ def run_partitioned(
     pending = [(pid, files) for pid, files in chunks if pid not in done]
     if pending:
         _, drop, file_rows = scan_duplicates(input_paths)
-        lookup = jobs_table_to_lookup(jobs)
-        extract = _extractor(
-            None if lookup is None else ray.put(lookup), ocr, ocr_engine, ocr_model
-        )
+        extract = _extractor(jobs, ocr, ocr_engine, ocr_model)
+        write = _partition_writer(out_dir)
+        pid_of = {f: pid for pid, fs in chunks for f in fs}
+
+        def task(pid: int, docs: pa.Table) -> pa.Table:
+            return write(pid, extract(docs)) if docs.num_rows else _COUNTS.empty_table()
+
     # wave 0, the first partition alone, keeps the first commit early;
     # wave 1 runs the rest in one execution, so a run pays the executor's
     # start-up at most twice
     for k, wave in enumerate(w for w in (pending[:1], pending[1:]) if w):
         t0 = time.perf_counter()
         files = [f for _, fs in wave for f in fs]
-        tmp = {pid: manifest.begin(pid) for pid, _ in wave}
+        for pid, _ in wave:
+            manifest.begin(pid)
+        tmp = {pid for pid, _ in wave}  # the partitions not committed yet
         counts = {pid: dict.fromkeys(_COUNTS.names[1:], 0) for pid in tmp}
         expected = {
             pid: sum(file_rows[f] - len(drop.get(f, ())) for f in fs) for pid, fs in wave
@@ -567,7 +547,7 @@ def run_partitioned(
 
         def settle(pid: int) -> None:
             if pid in tmp and counts[pid]["docs"] == expected[pid]:
-                del tmp[pid]
+                tmp.remove(pid)
                 manifest.commit(pid, {
                     **counts[pid],
                     "wave": k,
@@ -585,30 +565,40 @@ def run_partitioned(
             groups = _file_groups(
                 [f for pid, fs in wave if pid in tmp for f in fs], file_rows, batch_size
             )
-            out = _wave_chain(
-                groups, drop, extract,
-                _partition_writer({f: pid for pid, fs in wave for f in fs}, tmp),
-                batch_size=batch_size,
-            )
+            out = _group_tasks(groups, pid_of, drop, batch_size, task)
             # result bundles are pulled on this thread, not on a prefetch
-            # thread as in ``iter_batches``: an exception raised while
-            # waiting (a signal, say) then shuts the execution down before
-            # it propagates, and no thread keeps pulling during teardown
-            for bundle in out.iter_internal_ref_bundles():
-                for block in ray.get(bundle.block_refs):
-                    if not block.num_rows:
-                        continue
-                    sums = block.group_by("pid", use_threads=False).aggregate(
-                        [(name, "sum") for name in _COUNTS.names[1:]]
-                    ).to_pydict()
-                    if metrics_actor is not None:
-                        metrics_actor.report.remote(**{
-                            name: sum(sums[f"{name}_sum"]) for name in _COUNTS.names[1:]
-                        })
-                    for i, pid in enumerate(sums["pid"]):
-                        for name in _COUNTS.names[1:]:
-                            counts[pid][name] += sums[f"{name}_sum"][i]
-                        settle(pid)
+            # thread as in ``iter_batches``, so no thread keeps pulling
+            # during teardown. The iterator shuts the execution down only
+            # when it is exhausted or its own wait raises: on any other
+            # exception (a failed commit, say) the execution is shut down
+            # here and its tasks are waited for, so none writes once this
+            # raises (a cancel does not stop a task that a worker got but
+            # had not started yet)
+            bundles, _, executor = out._plan.execute_to_iterator()
+            try:
+                for bundle in bundles:
+                    for block in ray.get(bundle.block_refs):
+                        if not block.num_rows:
+                            continue
+                        sums = block.group_by("pid", use_threads=False).aggregate(
+                            [(name, "sum") for name in _COUNTS.names[1:]]
+                        ).to_pydict()
+                        if metrics_actor is not None:
+                            metrics_actor.report.remote(**{
+                                name: sum(sums[f"{name}_sum"]) for name in _COUNTS.names[1:]
+                            })
+                        for i, pid in enumerate(sums["pid"]):
+                            for name in _COUNTS.names[1:]:
+                                counts[pid][name] += sums[f"{name}_sum"][i]
+                            settle(pid)
+            except BaseException:
+                running = [
+                    t.get_waitable()._generator_ref
+                    for op in executor._topology for t in op.get_active_tasks()
+                ]
+                executor.shutdown(force=False)
+                ray.wait(running, num_returns=len(running), fetch_local=False)
+                raise
         if tmp:
             raise RuntimeError(
                 "partitions did not write their planned docs (written/planned): "

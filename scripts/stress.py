@@ -580,8 +580,8 @@ def waves():
     ``_file_groups`` of each wave), the spans each group task reads (max,
     median and max/median over the run's groups: the balance of the plan,
     which no host changes), Ray Data executions per run (the
-    ``_wave_chain`` calls: at most two, the first partition alone and then
-    the rest), and the medians over 3 fresh jobs, after one warm-up job,
+    ``_group_tasks`` calls of ``run_partitioned``: at most two, the first
+    partition alone and then the rest), and the medians over 3 fresh jobs, after one warm-up job,
     of the driver's CPU per job (``RUSAGE_SELF``, so Ray Data's executor
     threads count) and of ``first_commit_s`` (job start to the first
     manifest commit); the last job's output is checked against the oracle.
@@ -622,7 +622,7 @@ def waves():
     planned: list[list[list[str]]] = []
     chains: list[int] = []
     file_spans: dict[str, int] = {}
-    real_groups, real_chain = ep._file_groups, ep._wave_chain
+    real_groups, real_chain = ep._file_groups, ep._group_tasks
 
     def counted(*a, **k):
         groups = real_groups(*a, **k)
@@ -633,7 +633,7 @@ def waves():
         chains.append(1)
         return real_chain(*a, **k)
 
-    ep._file_groups, ep._wave_chain = counted, chain
+    ep._file_groups, ep._group_tasks = counted, chain
 
     def corpus(d, rows, n_files, packed=0):
         # make_documents appends one copy of every 11th doc
@@ -748,7 +748,8 @@ def kernels():
     writer, ``_partition_writer``. Inputs are the three perfbench corpora
     (``perfbench.workloads.make_corpus``) at seed 5, cut into the job's
     file groups at ``batch_size`` 2048 with each workload's partition
-    size; the later copies to drop are found here in (file, row) order, as
+    size, each group read in pieces of one partition each; the later
+    copies to drop are found here in (file, row) order, as
     ``scan_duplicates`` finds them. One JSON line per workload: the median
     ms over 7 passes of each layer (summed over the pass's pieces) and the
     bytes the writer left (its file names are the same every pass, so a
@@ -762,6 +763,7 @@ def kernels():
     from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.stages.engines import ocr_task
     from pdfz_ray.stages.extract import extract_batch
+    from pdfz_ray.state.manifest import Manifest
 
     batch_size, seed, passes = 2048, 5, 7
     layers = ("read", "extract", "ocr", "write")
@@ -781,39 +783,40 @@ def kernels():
                         later.append(row)
                     seen.add(k)
                 drop[paths[-1]] = np.asarray(later, np.int64)
-            file_pid = {p: i // w.partition_size for i, p in enumerate(paths)}
-            dirs = {}
-            for pid in set(file_pid.values()):
-                dirs[pid] = os.path.join(d, f"out-{pid}")
-                os.makedirs(dirs[pid])
-            writer = ep._partition_writer(file_pid, dirs)
+            pid_of = {p: i // w.partition_size for i, p in enumerate(paths)}
+            out_dir = os.path.join(d, "out")
+            manifest = Manifest(out_dir)
+            dirs = [manifest.begin(pid) for pid in sorted(set(pid_of.values()))]
+            writer = ep._partition_writer(out_dir)
             groups = ep._file_groups(paths, rows, batch_size)
             runs = {k: [] for k in layers}
             for _ in range(passes):
                 t = dict.fromkeys(layers, 0.0)
                 for g in groups:
-                    pieces = ep._read_group(g, [drop[f] for f in g], batch_size)
+                    pieces = ep._read_group(
+                        g, [pid_of[f] for f in g], [drop[f] for f in g], batch_size
+                    )
                     while True:
                         t0 = time.perf_counter()
-                        docs = next(pieces, None)
+                        piece = next(pieces, None)
                         t["read"] += time.perf_counter() - t0
-                        if docs is None:
+                        if piece is None:
                             break
+                        pid, docs = piece
                         t0 = time.perf_counter()
                         out = extract_batch(docs, lookup, emit_payloads=True)
                         t1 = time.perf_counter()
                         out = ocr_task(out)
                         t2 = time.perf_counter()
-                        out = out.append_column("path", docs.column("path"))
-                        t3 = time.perf_counter()
-                        writer(out)
+                        if docs.num_rows:
+                            writer(pid, out)
                         t["extract"] += t1 - t0
                         t["ocr"] += t2 - t1
-                        t["write"] += time.perf_counter() - t3
+                        t["write"] += time.perf_counter() - t2
                 for k in layers:
                     runs[k].append(t[k] * 1e3)
             written = sum(
-                os.path.getsize(os.path.join(o, f)) for o in dirs.values() for f in os.listdir(o)
+                os.path.getsize(os.path.join(o, f)) for o in dirs for f in os.listdir(o)
             )
             print(json.dumps({
                 "stress": "kernels", "workload": name, "seed": seed,

@@ -148,11 +148,11 @@ def test_scan_duplicates_matches_brute_force_count(
 
 
 def _check_partitioned_matches_union(corpus_files, tmp_path):
-    """run_partitioned (the job path's fused waves) is row-identical, less ``path``, to build_extract_pipeline over
-    the paths at every partition size, with the jobs table, OCR on and
-    cross-partition dups; no side file is written, and each duplicated
-    id's row sits in the partition of its first copy's file (and, from
-    build_extract_pipeline, carries that file's path).
+    """run_partitioned (the job path's fused waves) is row-identical to
+    build_extract_pipeline over the paths at every partition size, with
+    the jobs table, OCR on and cross-partition dups; no side file is
+    written, and each duplicated id's row sits in the partition of its
+    first copy's file (at partition size 1: that file's own partition).
     build_extract_pipeline runs OCR inside its group tasks: its executed
     operators hold no ``ocr_task`` stage."""
     import pyarrow.dataset as pads
@@ -177,7 +177,6 @@ def _check_partitioned_matches_union(corpus_files, tmp_path):
     assert "MapBatches(group_task)" in stats and "ocr_task" not in stats, stats
     want = rows(d_union)
     assert len(want) == len(set(tbl.column("doc_id").to_pylist()))
-    path_of = {r["doc_id"]: r.pop("path") for r in want}
 
     # first file holding each duplicated id (the corpus's dup tail)
     first_file: dict = {}
@@ -188,9 +187,6 @@ def _check_partitioned_matches_union(corpus_files, tmp_path):
                 seen_twice.add(d)
             first_file.setdefault(d, i)
     assert seen_twice
-    assert {d: path_of[d] for d in seen_twice} == {
-        d: paths[first_file[d]] for d in seen_twice
-    }
     for size in (1, 2, len(paths)):
         out_dir = str(tmp_path / f"out_part{size}")
         res = run_partitioned(paths, out_dir, jobs, partition_size=size, ocr=True)
@@ -324,13 +320,13 @@ def test_wave_of_contiguous_monsters_is_one_chain(ray_session, tmp_path, monkeyp
     pq.write_table(tbl, path)
 
     chains = []
-    real_chain = ep._wave_chain
+    real_chain = ep._group_tasks
 
     def keep_chain(*a, **k):
         chains.append(real_chain(*a, **k))
         return chains[-1]
 
-    monkeypatch.setattr(ep, "_wave_chain", keep_chain)
+    monkeypatch.setattr(ep, "_group_tasks", keep_chain)
     res = ep.run_partitioned([path], str(tmp_path / "out"))
 
     flat = rd.read_parquet(res["output_files"]).map_batches(
@@ -378,7 +374,8 @@ def test_resume_of_committed_run_skips_planning(
 ):
     """A run builds the jobs lookup once, through the module global, and
     broadcasts it as one Arrow table (every other table put is a block of
-    a wave's file groups, each row a group's files and drop offsets);
+    a wave's file groups, each row a group's files, their partition ids
+    and drop offsets);
     resubmitting a fully committed run neither
     scans for duplicates nor builds or broadcasts the lookup: it returns
     before any planning."""
@@ -396,9 +393,9 @@ def test_resume_of_committed_run_skips_planning(
     # one lookup per run, from the caller's table, broadcast as one table
     assert lookups == [jobs]
     tables = [v for v in puts if isinstance(v, pa.Table)]
-    groups = [t for t in tables if t.column_names == ["files", "drop"]]
+    groups = [t for t in tables if t.column_names == ["files", "pid", "drop"]]
     assert groups
-    assert [t.column_names for t in tables if t.column_names != ["files", "drop"]] == [
+    assert [t.column_names for t in tables if t.column_names != ["files", "pid", "drop"]] == [
         ["doc_id", "start_page", "page_count", "engine_ok"]
     ]
     assert not any(isinstance(v, dict) for v in puts)
@@ -569,42 +566,42 @@ def test_partition_of_only_owned_duplicates(ray_session, tmp_path):
 
 
 def test_partition_writer_is_retry_safe(tmp_path):
-    """The wave writer writes each partition's run of a batch as one file
-    into that partition's temp dir; calling it again on the same batch (a
-    retried task) leaves the same files with the same bytes; its count
-    rows equal the counts of the written files. Only the columns of few
-    distinct values are dictionary-encoded, and only the top-level
-    scalars carry statistics."""
+    """The wave writer writes each piece, the rows of one partition's
+    files, as one file into that partition's temp dir, and returns one
+    count row; calling it again on the same pieces (a retried task) leaves
+    the same files with the same bytes; its count rows equal the counts of
+    the written files. Only the columns of few distinct values are
+    dictionary-encoded, and only the top-level scalars carry statistics."""
     import glob
     import pathlib
 
     from pdfz_ray.pipelines.extract_pipeline import _metrics_of, _partition_writer
     from pdfz_ray.stages.engines import ocr_task
     from pdfz_ray.stages.extract import extract_batch
+    from pdfz_ray.state.manifest import Manifest
 
-    dirs = {0: str(tmp_path / "t0"), 1: str(tmp_path / "t1")}
-    for d in dirs.values():
-        os.makedirs(d)
+    out_dir = str(tmp_path / "out")
+    manifest = Manifest(out_dir)
+    dirs = {pid: manifest.begin(pid) for pid in (0, 1)}
     batch = ocr_task(extract_batch(
         make_documents(40, monster_spans=50).slice(0, 40), emit_payloads=True
     ))
-    sources = ["a.parquet", "b.parquet", "c.parquet"]
-    batch = batch.append_column("path", pa.array([sources[i // 14] for i in range(40)]))
-    write = _partition_writer({"a.parquet": 0, "b.parquet": 1, "c.parquet": 1}, dirs)
+    pieces = {0: batch.slice(0, 14), 1: batch.slice(14)}
+    write = _partition_writer(out_dir)
 
     def files():
-        found = sorted(glob.glob(str(tmp_path / "t*" / "*")))
+        found = sorted(glob.glob(os.path.join(out_dir, ".tmp-part-*", "*")))
         return {f: pathlib.Path(f).read_bytes() for f in found}
 
-    counts = write(batch)
+    counts = pa.concat_tables([write(pid, part) for pid, part in pieces.items()])
     first = files()
-    assert write(batch).equals(counts)
+    assert pa.concat_tables([write(pid, part) for pid, part in pieces.items()]).equals(counts)
     assert files() == first
     for pid, d in dirs.items():
         written = glob.glob(os.path.join(d, "*"))
         assert len(written) == 1
         got = pq.read_table(written[0])
-        assert "path" not in got.column_names
+        assert got.to_pylist() == pieces[pid].to_pylist()
         row = [r for r in counts.to_pylist() if r["pid"] == pid]
         assert row == [{"pid": pid, **_metrics_of(got)}]
         meta = pq.ParquetFile(written[0]).metadata.row_group(0)
@@ -791,7 +788,14 @@ def test_empty_file_and_dup_only_wave_commit(ray_session, tmp_path, monkeypatch)
     owned by an earlier partition each commit, with the output
     oracle-exact: at partition size 1 both commit empty in the second
     wave without being read (its execution reads only the other
-    partition's file); at size 4 one read group holds both."""
+    partition's file); at size 4 one read group holds both.
+
+    Pieces at partition boundaries, at ``batch_size`` 16: read groups that
+    straddle a partition boundary, a file of 20 rows after one, and (at
+    size 1) a partition of only later copies between two others. Each
+    partition's output equals the oracle's rows of the ids whose first
+    copy is in its files, and every output file holds rows of one
+    partition's files only."""
     import json
 
     from pdfz_ray.pipelines import extract_pipeline as ep
@@ -827,6 +831,44 @@ def test_empty_file_and_dup_only_wave_commit(ray_session, tmp_path, monkeypatch)
         got = sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
         assert got == want, size
 
+    more = make_documents(60, monster_spans=50).slice(0, 60)
+    parts = [
+        more.slice(0, 10), more.slice(10, 5), more.slice(15, 5),
+        more.slice(0, 5),  # later copies only
+        more.slice(20, 20),  # more rows than batch_size
+        pa.concat_tables([more.slice(40, 5), more.slice(12, 1)]), more.slice(45, 5),
+    ]
+    paths = []
+    for i, t in enumerate(parts):
+        paths.append(str(tmp_path / f"g{i}.parquet"))
+        pq.write_table(t, paths[-1])
+    first_file = {}
+    for i, t in enumerate(parts):
+        for d in t.column("doc_id").to_pylist():
+            first_file.setdefault(d, i)
+    want = {
+        o.doc_id: {"doc_id": o.doc_id, "spans": o.spans, "status": o.status,
+                   "pages": o.pages, "decode_failures": o.decode_failures,
+                   "empty_pages": o.empty_pages}
+        for o in extract_corpus(pa.concat_tables(parts).to_pylist())
+    }
+    for size, reads in ((1, [[0], [1, 2, 4, 5, 6]]), (2, [[0, 1], [2, 3, 4, 5, 6]])):
+        read.clear()
+        res = ep.run_partitioned(
+            paths, str(tmp_path / f"bounds{size}"), partition_size=size, batch_size=16,
+            ocr=False,
+        )
+        assert read == reads, size
+        for pid, d in enumerate(res["output_dirs"]):
+            files = [f for f in res["output_files"] if os.path.dirname(f) == d]
+            got = []
+            for f in files:
+                ids = pq.read_table(f).column("doc_id").to_pylist()
+                assert {first_file[i] // size for i in ids} == {pid}, (size, f)
+                got += pq.read_table(f).to_pylist()
+            owned = sorted(i for i, k in first_file.items() if k // size == pid)
+            assert sorted(got, key=lambda r: r["doc_id"]) == [want[i] for i in owned], (size, pid)
+
 
 def test_run_partitioned_plans_no_read_parquet(ray_session, corpus_files, tmp_path, monkeypatch):
     """A run calls no ``ray.data.read_parquet``: the waves' reads are
@@ -852,7 +894,7 @@ def test_unrouted_wave_is_one_task_per_group(ray_session, corpus_files, tmp_path
     from pdfz_ray.pipelines import extract_pipeline as ep
 
     waves = []
-    real_groups, real_chain = ep._file_groups, ep._wave_chain
+    real_groups, real_chain = ep._file_groups, ep._group_tasks
 
     def groups(*a, **k):
         waves.append([real_groups(*a, **k)])
@@ -863,7 +905,7 @@ def test_unrouted_wave_is_one_task_per_group(ray_session, corpus_files, tmp_path
         return waves[-1][1]
 
     monkeypatch.setattr(ep, "_file_groups", groups)
-    monkeypatch.setattr(ep, "_wave_chain", chain)
+    monkeypatch.setattr(ep, "_group_tasks", chain)
     _, paths = corpus_files  # 4 files of 33 rows
     ep.run_partitioned(paths, str(tmp_path / "out"), partition_size=4, batch_size=70, ocr=False)
     ((planned, ds),) = waves
@@ -874,17 +916,20 @@ def test_unrouted_wave_is_one_task_per_group(ray_session, corpus_files, tmp_path
     assert ops[1:] == [("MapBatches(group_task)", str(len(planned)))], ops
 
 
-def test_paths_pipeline_is_one_task_per_group(ray_session, tmp_path):
+def test_paths_pipeline_is_one_task_per_group(ray_session, tmp_path, monkeypatch):
     """build_extract_pipeline over paths runs the job path's chain less
     its writer: one executed operator, the fused group task, with one task
-    per file group at its own ``_BATCH_ROWS``, not every group bundled
-    into one task. The output is exactly deduplicated, and every block,
-    that of the group holding only later copies too, has one schema."""
+    per file group at its ``BATCH_ROWS`` (set to 1,024 here, so each
+    600-row file is a group), not every group bundled into one task. The
+    output is exactly deduplicated, and every block, that of the group
+    holding only later copies too, has one schema."""
     import re
 
     import ray
 
     from pdfz_ray.pipelines import extract_pipeline as ep
+
+    monkeypatch.setattr(ep, "BATCH_ROWS", 1024)
 
     tbl = make_documents(1650, monster_spans=20)
     assert tbl.num_rows == 1800
@@ -894,7 +939,7 @@ def test_paths_pipeline_is_one_task_per_group(ray_session, tmp_path):
         paths.append(str(tmp_path / f"f{i}.parquet"))
         pq.write_table(tbl.slice(lo, 600), paths[-1])
     rows = {p: 600 for p in paths}
-    groups = ep._file_groups(paths, rows, ep._BATCH_ROWS)
+    groups = ep._file_groups(paths, rows, ep.BATCH_ROWS)
     assert len(groups) == 4
 
     out = ep.build_extract_pipeline(paths, ocr=False).materialize()
@@ -1142,11 +1187,11 @@ def test_worker_killed_mid_wave(ray_session, tmp_path, monkeypatch):
     marker = str(tmp_path / "killed")
     real = ep._partition_writer
 
-    def killing_writer(file_pid, dirs):
-        write = real(file_pid, dirs)
+    def killing_writer(out_dir):
+        write = real(out_dir)
 
-        def once(batch):
-            out = write(batch)
+        def once(pid, part):
+            out = write(pid, part)
             try:
                 os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
             except FileExistsError:
@@ -1177,12 +1222,20 @@ def test_crash_in_second_wave_redoes_only_uncommitted(ray_session, tmp_path, mon
     """A run that raises right after the first commit of its second wave
     (``Manifest.commit`` patched from here to raise once it has committed
     a wave-1 partition) leaves two partitions committed: the first wave's
-    and that one. A resume runs exactly the other partitions, the
-    uncommitted ones of the execution that was running, leaves no temp
-    dir, and its output equals the oracle row for row."""
+    and that one. The raise shuts the wave's execution down before it
+    propagates: no write task of the failed run writes into a
+    ``.tmp-part-*`` dir after it (the writer is patched so that the second
+    wave's first write goes at once and every later one waits 1 s first,
+    so tasks are running and queued when the raise comes, and a cancel
+    does not cut that wait short). A resume
+    started at once in the same process, at another ``batch_size`` (other
+    read groups, so other piece files), runs exactly the other partitions,
+    the uncommitted ones of the execution that was running, leaves no temp
+    dir, and its output equals the oracle row for row, each doc_id once."""
     import glob
+    import time
 
-    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+    from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.stages.extract import flatten_output
     from pdfz_ray.state.manifest import Manifest
 
@@ -1192,26 +1245,58 @@ def test_crash_in_second_wave_redoes_only_uncommitted(ray_session, tmp_path, mon
         paths.append(str(tmp_path / f"f{i}.parquet"))
         pq.write_table(tbl.slice(i * 12, 12), paths[-1])
     out_dir = str(tmp_path / "out")
-    kw = dict(partition_size=1, batch_size=12, ocr=False)
+    first = str(tmp_path / "first-write")
+    log = str(tmp_path / "writes.txt")
+    real_writer, real_commit = ep._partition_writer, Manifest.commit
+
+    def slow_writer(out_dir):
+        write = real_writer(out_dir)
+
+        def slow(pid, part):
+            if pid:  # the second wave
+                try:
+                    os.close(os.open(first, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    # 1 s that a cancel does not cut short, as it does not
+                    # cut short a long call into C such as a parquet write
+                    wake = time.time() + 1
+                    while time.time() < wake:
+                        try:
+                            time.sleep(wake - time.time())
+                        except KeyboardInterrupt:
+                            pass
+            with open(log, "a") as f:
+                f.write(f"{time.time()} {pid}\n")
+            return write(pid, part)
+
+        return slow
 
     class Crash(Exception):
         pass
-
-    real_commit = Manifest.commit
 
     def commit(self, pid, metrics):
         real_commit(self, pid, metrics)
         if metrics["wave"] == 1:
             raise Crash(pid)
 
+    monkeypatch.setattr(ep, "_partition_writer", slow_writer)
     monkeypatch.setattr(Manifest, "commit", commit)
-    with pytest.raises(Crash):
-        run_partitioned(paths, out_dir, **kw)
+    # the caller holds the exception, and with it the frame that ran the
+    # wave, until the resume is done
+    with pytest.raises(Crash) as crashed:
+        ep.run_partitioned(paths, out_dir, partition_size=1, batch_size=12, ocr=False)
+    raised = time.time()
+    monkeypatch.setattr(ep, "_partition_writer", real_writer)
     monkeypatch.setattr(Manifest, "commit", real_commit)
     committed = set(Manifest(out_dir).completed())
     assert len(committed) == 2 and 0 in committed, committed
 
-    res = run_partitioned(paths, out_dir, **kw)
+    res = ep.run_partitioned(paths, out_dir, partition_size=1, batch_size=24, ocr=False)
+    # a task of the failed run still alive would have written 1 s after
+    # the raise
+    time.sleep(max(0.0, raised + 2 - time.time()))
+    assert [line for line in open(log) if float(line.split()[0]) > raised] == []
+    assert crashed.value.args[0] in committed
     assert res["partitions_skipped"] == sorted(committed)
     assert res["partitions_run"] == sorted(set(range(8)) - committed)
     assert glob.glob(os.path.join(out_dir, ".tmp-*")) == []
@@ -1254,11 +1339,13 @@ def test_metrics_reset_per_run(ray_session, corpus_files, tmp_path):
 
 
 def test_group_udf_size_does_not_grow_with_dups(ray_session, tmp_path, monkeypatch):
-    """The drop offsets travel in the group rows, not in the group UDF:
-    the pickled ``map_batches`` fn of ``build_extract_pipeline(paths)``
-    and of each ``run_partitioned`` wave has the same size with no later
-    copies and with half the rows later copies, and both entry points are
-    oracle-exact at 50%."""
+    """The plan data travels in the group rows, not in the group UDF: the
+    pickled ``map_batches`` fn of ``build_extract_pipeline(paths)`` and of
+    each ``run_partitioned`` wave has the same size with no later copies
+    and with half the rows later copies, and both entry points are
+    oracle-exact at 50%; the pickled fn of a second wave of 2 partitions
+    and of one of 16 have the same size too (file names and output dirs of
+    equal length)."""
     import cloudpickle
     import ray.data as rd
 
@@ -1298,11 +1385,26 @@ def test_group_udf_size_does_not_grow_with_dups(ray_session, tmp_path, monkeypat
         )
         sizes[name] = [len(cloudpickle.dumps(fn)) for fn in fns]
         assert len(sizes[name]) == 3  # the library chain, then two waves
-        lib_rows = pa.concat_tables(ray_session.get(lib.to_arrow_refs())).drop_columns(["path"])
+        lib_rows = pa.concat_tables(ray_session.get(lib.to_arrow_refs()))
         out = pa.concat_tables(pq.read_table(f) for f in res["output_files"])
         for got in (lib_rows, out):
             assert sorted(tuple(r.values()) for r in flatten_output(got).to_pylist()) == want
     assert sizes["p00"] == sizes["p50"], sizes
+
+    (tmp_path / "w").mkdir()
+    paths = []
+    for i in range(17):
+        paths.append(str(tmp_path / "w" / f"f{i:02d}.parquet"))
+        pq.write_table(uniq.slice(5 * i, 5), paths[-1])
+    waves = {}
+    for n in (2, 16):
+        fns.clear()
+        res = ep.run_partitioned(
+            paths[: n + 1], str(tmp_path / f"wave{n:02d}"), partition_size=1, ocr=False
+        )
+        assert res["partitions_run"] == list(range(n + 1))
+        waves[n] = len(cloudpickle.dumps(fns[-1]))
+    assert waves[2] == waves[16], waves
 
 
 def test_build_extract_pipeline_rejects_empty_paths(ray_session):
