@@ -4,9 +4,10 @@ The reference ships job params per document through RabbitMQ
 (extractor/src/worker.rs:4-11); here the (small) jobs table is normalized
 once on the driver into one Arrow lookup table (``jobs_table_to_lookup``),
 broadcast to every extract task via ``ray.put`` (read back zero-copy) and
-resolved per batch with one ``index_in`` and three ``take`` calls — never
-re-shipped per batch, never shuffled, and no per-row Python object on
-either side. The row-loop ``doc_id -> Job`` dict it replaces is the
+resolved per batch (``stages.extract._job_arrays``): one ``is_in`` filter
+of the lookup to the batch's ids, one ``index_in`` over that subset and
+three ``take`` calls — never re-shipped per batch, never shuffled, and no
+per-row Python object on either side. The row-loop ``doc_id -> Job`` dict it replaces is the
 oracle's (``oracle.jobs_table_to_dict``).
 """
 

@@ -32,6 +32,7 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 
 import ray
 import ray.data
@@ -94,26 +95,24 @@ def write_training_shards(
             if row.get("params_md5") == params_md5:
                 done.add(pid)
 
-    def survivors_of(batch: pa.Table) -> pa.Table:
-        """Batch-local survivor + split filter over narrow-schema rows."""
+    def survivors(nb: pa.Table) -> pa.Array:
+        """Batch-local survivor + split keep mask of narrow-schema rows."""
         winners, thr = ray.get(gate_ref)
-        ids = batch.column("doc_id").to_numpy()
         keep, splits = survivor_mask_and_split(
-            ids,
-            batch.column("n_tokens").to_numpy(),
-            batch.column("content_hash").to_pylist(),
-            batch.column("contaminated").to_numpy(zero_copy_only=False),
+            nb.column("doc_id").to_numpy(),
+            nb.column("n_tokens").to_numpy(),
+            nb.column("content_hash").to_pylist(),
+            nb.column("contaminated").to_numpy(zero_copy_only=False),
             thr,
             winners,
         )
-        keep &= splits == split
-        return batch.filter(pa.array(keep))
+        return pa.array(keep & (splits == split))
 
     # per-(shard, bucket) survivor token totals from the NARROW table in ONE
     # pass (no text) — per-shard exclusive cumsums are sliced from it below,
     # so N shards don't pay N pipeline executions for their offsets
     def bucket_totals(batch: pa.Table) -> pa.Table:
-        batch = survivors_of(batch)
+        batch = batch.filter(survivors(batch))
         ids = batch.column("doc_id").to_numpy()
         t = pa.Table.from_arrays(
             [
@@ -156,8 +155,6 @@ def write_training_shards(
         offsets_ref = ray.put(dict(zip(totals["bucket"], csum)))
 
         # payload pass: pushdown read of the shard's doc_id range only
-        import pyarrow.dataset as pads
-
         shard_ds = ray.data.read_parquet(
             input_paths,
             columns=["doc_id", "text"],
@@ -166,18 +163,7 @@ def write_training_shards(
 
         def keep_survivors(batch: pa.Table) -> pa.Table:
             nb = curation_narrow_batch(batch, bench_ref=bench_ref, n=n)
-            winners, thr = ray.get(gate_ref)
-            ids = nb.column("doc_id").to_numpy()
-            keep, splits = survivor_mask_and_split(
-                ids,
-                nb.column("n_tokens").to_numpy(),
-                nb.column("content_hash").to_pylist(),
-                nb.column("contaminated").to_numpy(zero_copy_only=False),
-                thr,
-                winners,
-            )
-            keep &= splits == split
-            sel = pa.array(keep)
+            sel = survivors(nb)
             out = batch.filter(sel)
             return pa.Table.from_arrays(
                 [
@@ -218,14 +204,12 @@ def write_training_shards(
         )
         tmp = manifest.begin(sid)
         packed.write_parquet(tmp)
-        import pyarrow.dataset as pds
-
         # a shard range with zero survivors writes no parquet files; its
         # empty dataset has no schema, so selecting columns would throw —
         # commit it as an (honestly) empty shard instead
-        files = pds.dataset(tmp, format="parquet").files
+        files = pads.dataset(tmp, format="parquet").files
         if files:
-            mt = pds.dataset(files, format="parquet").to_table(
+            mt = pads.dataset(files, format="parquet").to_table(
                 columns=["n_tokens", "pack_id"]
             )
             n_docs = mt.num_rows

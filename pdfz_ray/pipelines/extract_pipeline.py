@@ -73,9 +73,9 @@ Scale notes (the 100 TB design points):
 - output is committed per input partition (atomic rename + manifest line)
   as soon as its rows are written, so a resumed run skips finished
   partitions exactly and a crash redoes only the uncommitted partitions of
-  the running execution, which an exception on the driver stops before
-  it propagates; a run starts at most two executions, whatever its
-  partition count.
+  the running execution; temp dirs belong to one run, so a write task of
+  a failed run that outlives its exception writes where no commit looks;
+  a run starts at most two executions, whatever its partition count.
 """
 
 from __future__ import annotations
@@ -283,11 +283,12 @@ _DICT_COLUMNS = [
 _STATS_COLUMNS = ["doc_id", "status", "pages", "decode_failures", "empty_pages"]
 
 
-def _partition_writer(out_dir: str):
-    """Writer of a wave: ``write(pid, part)`` writes ``part``, extraction
+def _partition_writer(manifest: Manifest):
+    """Writer of a run: ``write(pid, part)`` writes ``part``, extraction
     output whose rows all come from partition ``pid``'s files (a piece of
     ``_read_group``), as one parquet file into that partition's temp dir
-    under ``out_dir``, and returns its one ``_COUNTS`` row.
+    of ``manifest``'s run (``Manifest.temp_dir``), and returns its one
+    ``_COUNTS`` row. It closes over ``manifest``, whose size is fixed.
 
     A file's name is the md5 of the piece's doc_ids (a null id keyed as
     ""), so a retried task overwrites the file of its failed attempt
@@ -301,13 +302,11 @@ def _partition_writer(out_dir: str):
 
     import pyarrow.parquet as pq
 
-    temp_dir = Manifest(out_dir).temp_dir
-
     def write(pid: int, part: pa.Table) -> pa.Table:
         ids = pc.fill_null(part.column("doc_id"), "").to_numpy().tolist()
         name = hashlib.md5("\n".join(ids).encode()).hexdigest()
         pq.write_table(
-            part, os.path.join(temp_dir(pid), f"{name}.parquet"),
+            part, os.path.join(manifest.temp_dir(pid), f"{name}.parquet"),
             use_dictionary=_DICT_COLUMNS, write_statistics=_STATS_COLUMNS,
         )
         return pa.Table.from_pylist([{"pid": pid, **_metrics_of(part)}], schema=_COUNTS)
@@ -348,7 +347,9 @@ def _read_group(
     the rows of one run of files of equal pid, so no piece holds two
     partitions' rows; at least one piece per run. A file of more than
     ``batch_size`` rows is read in slices of that many rows; a run's
-    smaller files are read whole and concatenated."""
+    smaller files are read whole and concatenated into one piece, which
+    ``_file_groups`` bounds: a group of several files holds at most
+    ``batch_size`` rows."""
     import itertools
 
     import pyarrow.parquet as pq
@@ -373,11 +374,9 @@ def _read_group(
                 yield pid, kept(pa.Table.from_batches([rb]), offsets, lo)
                 lo += rb.num_rows
         if small:
-            docs = pa.concat_tables(small)
             # an empty piece too: a task that yields no table gives Ray a
             # block without a schema
-            for lo in range(0, max(docs.num_rows, 1), batch_size):
-                yield pid, docs.slice(lo, batch_size)
+            yield pid, pa.concat_tables(small)
 
 
 def _group_tasks(
@@ -462,10 +461,13 @@ def run_partitioned(
     still commit one by one as their groups finish, and one holding only
     later copies commits at once, empty, and its files are not read. A
     crash redoes the uncommitted partitions of the running execution, and
-    nothing committed. An exception raised on the driver while a wave runs
-    (a failed commit, say) shuts that execution down, its running tasks
-    cancelled, before it propagates, so a resume in the same process meets
-    no write task of the failed run.
+    nothing committed. Each run writes into temp dirs of its own
+    (``Manifest.temp_dir``), and its ``begin`` removes those of every
+    other run. So after an exception raised on the driver while a wave runs
+    (a failed commit, say), a task of that execution still running (until
+    the caller releases the exception, which shuts the execution down)
+    writes into its own run's dir, which no commit renames, or fails on a
+    removed one, and a resume in the same process sees none of its writes.
 
     Manifest rows: the partition's counts (``docs``, ``docs_failed``,
     ``pages``, ``decode_failures``, ``empty_pages``), ``wave`` (0 for the
@@ -525,7 +527,7 @@ def run_partitioned(
     if pending:
         _, drop, file_rows = scan_duplicates(input_paths)
         extract = _extractor(jobs, ocr, ocr_engine, ocr_model)
-        write = _partition_writer(out_dir)
+        write = _partition_writer(manifest)
         pid_of = {f: pid for pid, fs in chunks for f in fs}
 
         def task(pid: int, docs: pa.Table) -> pa.Table:
@@ -568,37 +570,22 @@ def run_partitioned(
             out = _group_tasks(groups, pid_of, drop, batch_size, task)
             # result bundles are pulled on this thread, not on a prefetch
             # thread as in ``iter_batches``, so no thread keeps pulling
-            # during teardown. The iterator shuts the execution down only
-            # when it is exhausted or its own wait raises: on any other
-            # exception (a failed commit, say) the execution is shut down
-            # here and its tasks are waited for, so none writes once this
-            # raises (a cancel does not stop a task that a worker got but
-            # had not started yet)
-            bundles, _, executor = out._plan.execute_to_iterator()
-            try:
-                for bundle in bundles:
-                    for block in ray.get(bundle.block_refs):
-                        if not block.num_rows:
-                            continue
-                        sums = block.group_by("pid", use_threads=False).aggregate(
-                            [(name, "sum") for name in _COUNTS.names[1:]]
-                        ).to_pydict()
-                        if metrics_actor is not None:
-                            metrics_actor.report.remote(**{
-                                name: sum(sums[f"{name}_sum"]) for name in _COUNTS.names[1:]
-                            })
-                        for i, pid in enumerate(sums["pid"]):
-                            for name in _COUNTS.names[1:]:
-                                counts[pid][name] += sums[f"{name}_sum"][i]
-                            settle(pid)
-            except BaseException:
-                running = [
-                    t.get_waitable()._generator_ref
-                    for op in executor._topology for t in op.get_active_tasks()
-                ]
-                executor.shutdown(force=False)
-                ray.wait(running, num_returns=len(running), fetch_local=False)
-                raise
+            # during teardown
+            for bundle in out.iter_internal_ref_bundles():
+                for block in ray.get(bundle.block_refs):
+                    if not block.num_rows:
+                        continue
+                    sums = block.group_by("pid", use_threads=False).aggregate(
+                        [(name, "sum") for name in _COUNTS.names[1:]]
+                    ).to_pydict()
+                    if metrics_actor is not None:
+                        metrics_actor.report.remote(**{
+                            name: sum(sums[f"{name}_sum"]) for name in _COUNTS.names[1:]
+                        })
+                    for i, pid in enumerate(sums["pid"]):
+                        for name in _COUNTS.names[1:]:
+                            counts[pid][name] += sums[f"{name}_sum"][i]
+                        settle(pid)
         if tmp:
             raise RuntimeError(
                 "partitions did not write their planned docs (written/planned): "

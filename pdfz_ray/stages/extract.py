@@ -98,9 +98,11 @@ def extract_batch(
     the pipeline (unlike the reference's worker panic, queue_handler.rs:51).
 
     With ``emit_payloads`` a ``media_payloads: list<string>`` side column is
-    added (payload seed per emitted media span, span order) for the
-    downstream OCR actor-pool stage. ``jobs``: the lookup table of
-    ``jobs.jobs_table_to_lookup`` (None: every doc gets the default job).
+    added (payload seed per emitted media span, span order) for OCR:
+    ``engines.ocr_task``, which both entry points call on the batch in the
+    same extract UDF, or a caller's own ``OcrStage`` actor pool. ``jobs``:
+    the lookup table of ``jobs.jobs_table_to_lookup`` (None: every doc gets
+    the default job).
     """
     n = batch.num_rows
 

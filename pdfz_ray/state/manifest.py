@@ -5,7 +5,8 @@ with TTL 3600 plus output-file clobbering (api/src/server.ts:90-103,
 extractor/src/helper/file_helper.rs:67-73). The rebuild makes it explicit:
 
 - output is partitioned — one directory per input partition
-  (``part-{i:05d}``), written to a temp dir and atomically renamed;
+  (``part-{i:05d}``), written to a temp dir of this run and atomically
+  renamed;
 - a manifest line (JSON) is appended per *completed* partition with its
   lineage metrics (docs, pages, decode_failures, empty_pages, wall_s);
 - resume = skip partitions already in the manifest (the anti-join of the
@@ -17,7 +18,9 @@ extractor/src/helper/file_helper.rs:67-73). The rebuild makes it explicit:
 This gives effectively-exactly-once output on top of Ray's at-least-once
 task retries: a partition directory is only visible once its rename
 committed, and the rename commits only after every block of the partition
-was written.
+was written. Temp dirs belong to one run (``Manifest`` mints a token per
+instance): a late write of a failed run lands in that run's own dir, which
+no commit of another run renames, or fails because a later run purged it.
 """
 
 from __future__ import annotations
@@ -26,14 +29,17 @@ import json
 import os
 import shutil
 import time
+import uuid
 
 
 class Manifest:
-    """Append-only JSONL manifest of completed partitions."""
+    """Append-only JSONL manifest of completed partitions. Each instance is
+    one run: ``run`` is the token in the names of its temp dirs."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.path = os.path.join(out_dir, "_manifest.jsonl")
+        self.run = uuid.uuid4().hex[:12]
         os.makedirs(out_dir, exist_ok=True)
 
     def completed(self) -> dict[int, dict]:
@@ -64,13 +70,20 @@ class Manifest:
         return os.path.join(self.out_dir, f"part-{pid:05d}")
 
     def temp_dir(self, pid: int) -> str:
-        return os.path.join(self.out_dir, f".tmp-part-{pid:05d}")
+        """This run's temp dir of partition ``pid``."""
+        return os.path.join(self.out_dir, f".tmp-part-{pid:05d}-{self.run}")
 
     def begin(self, pid: int) -> str:
-        """Fresh temp dir for the partition's writes (stale tmp purged)."""
+        """Fresh temp dir for the partition's writes. Every temp dir of
+        another run is removed first, whatever its partition: an earlier
+        run's leftovers (of any chunking) go, and a write task of a failed
+        run that is still going fails or writes into a dir no commit of this
+        run looks at; ``ignore_errors``, so such a task racing the removal
+        cannot fail this run."""
+        for name in os.listdir(self.out_dir):
+            if name.startswith(".tmp-part-") and not name.endswith(f"-{self.run}"):
+                shutil.rmtree(os.path.join(self.out_dir, name), ignore_errors=True)
         tmp = self.temp_dir(pid)
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
         os.makedirs(tmp)
         return tmp
 

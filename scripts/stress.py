@@ -787,7 +787,7 @@ def kernels():
             out_dir = os.path.join(d, "out")
             manifest = Manifest(out_dir)
             dirs = [manifest.begin(pid) for pid in sorted(set(pid_of.values()))]
-            writer = ep._partition_writer(out_dir)
+            writer = ep._partition_writer(manifest)
             groups = ep._file_groups(paths, rows, batch_size)
             runs = {k: [] for k in layers}
             for _ in range(passes):

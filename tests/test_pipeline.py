@@ -587,7 +587,7 @@ def test_partition_writer_is_retry_safe(tmp_path):
         make_documents(40, monster_spans=50).slice(0, 40), emit_payloads=True
     ))
     pieces = {0: batch.slice(0, 14), 1: batch.slice(14)}
-    write = _partition_writer(out_dir)
+    write = _partition_writer(manifest)
 
     def files():
         found = sorted(glob.glob(os.path.join(out_dir, ".tmp-part-*", "*")))
@@ -795,8 +795,12 @@ def test_empty_file_and_dup_only_wave_commit(ray_session, tmp_path, monkeypatch)
     size 1) a partition of only later copies between two others. Each
     partition's output equals the oracle's rows of the ids whose first
     copy is in its files, and every output file holds rows of one
-    partition's files only."""
+    partition's files only, and a read group of small files yields one
+    piece per run of files of equal partition id."""
+    import itertools
     import json
+
+    import numpy as np
 
     from pdfz_ray.pipelines import extract_pipeline as ep
     from pdfz_ray.stages.extract import flatten_output
@@ -808,12 +812,14 @@ def test_empty_file_and_dup_only_wave_commit(ray_session, tmp_path, monkeypatch)
         paths.append(str(tmp_path / f"f{i}.parquet"))
         pq.write_table(t, paths[-1])
     want = sorted(tuple(r.values()) for r in _oracle_flat(pa.concat_tables(parts)))
-    read = []
+    read, planned = [], []
     real_groups = ep._file_groups
 
     def groups(files, *a, **k):
         read.append([paths.index(f) for f in files])
-        return real_groups(files, *a, **k)
+        out = real_groups(files, *a, **k)
+        planned.extend(out)
+        return out
 
     monkeypatch.setattr(ep, "_file_groups", groups)
     for size, reads in ((1, [[0], [2]]), (4, [[0, 1, 2, 3]])):
@@ -852,13 +858,22 @@ def test_empty_file_and_dup_only_wave_commit(ray_session, tmp_path, monkeypatch)
                    "empty_pages": o.empty_pages}
         for o in extract_corpus(pa.concat_tables(parts).to_pylist())
     }
+    _, drop, _ = ep.scan_duplicates(paths)
     for size, reads in ((1, [[0], [1, 2, 4, 5, 6]]), (2, [[0, 1], [2, 3, 4, 5, 6]])):
         read.clear()
+        planned.clear()
         res = ep.run_partitioned(
             paths, str(tmp_path / f"bounds{size}"), partition_size=size, batch_size=16,
             ocr=False,
         )
         assert read == reads, size
+        # a group of small files reads as one piece per run of equal pid
+        for g in planned:
+            pids = [paths.index(f) // size for f in g]
+            drops = [drop.get(f, np.zeros(0, np.int64)) for f in g]
+            pieces = list(ep._read_group(g, pids, drops, 16))
+            if g != [paths[4]]:  # the 20-row file: slices of 16 rows
+                assert [p for p, _ in pieces] == [p for p, _ in itertools.groupby(pids)], g
         for pid, d in enumerate(res["output_dirs"]):
             files = [f for f in res["output_files"] if os.path.dirname(f) == d]
             got = []
@@ -1043,19 +1058,24 @@ def test_wave_plan_is_logged(ray_session, corpus_files, tmp_path, caplog):
     assert waves == {0: 0, 1: 1, 2: 1, 3: 1}
 
 
-def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
+def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path, monkeypatch):
     """A manifest 'done' pid is honored only when it still maps to the same
     file chunk — resuming with a different partition_size re-runs instead of
     silently skipping pids that now cover different files (ADVICE r1). A
     move to fewer, larger partitions retires the committed pids it no
     longer has: their output leaves ``out_dir``, which then holds each doc
-    once, and a move back to the finer chunking runs them again."""
+    once, and a move back to the finer chunking runs them again. A run at
+    the finer chunking that crashes at its second wave's first commit
+    leaves temp dirs of pids past the coarser chunking; the resume at the
+    coarser one removes them."""
     import glob
+    import hashlib
 
     import ray.data as rd
 
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
     from pdfz_ray.stages.extract import flatten_output
+    from pdfz_ray.state.manifest import Manifest
 
     tbl, paths = corpus_files
     out_dir = str(tmp_path / "out_chunk")
@@ -1071,6 +1091,31 @@ def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
     assert res3["partitions_skipped"] == []
     assert res3["partitions_run"] == [0, 1, 2, 3]
 
+    # a run at partition_size=1 over a size-2 commit that crashes at its
+    # second wave's first commit: pid 0 re-ran, and two of pids 1-3 keep
+    # their temp dirs
+    res3b = run_partitioned(paths, out_dir, partition_size=2, ocr=False)
+    assert res3b["partitions_run"] == [0, 1]
+
+    class Crash(Exception):
+        pass
+
+    real_commit = Manifest.commit
+
+    def commit(self, pid, metrics):
+        real_commit(self, pid, metrics)
+        if metrics["wave"] == 1:
+            raise Crash(pid)
+
+    monkeypatch.setattr(Manifest, "commit", commit)
+    with pytest.raises(Crash):
+        run_partitioned(paths, out_dir, partition_size=1, ocr=False)
+    monkeypatch.setattr(Manifest, "commit", real_commit)
+    committed = Manifest(out_dir).completed()
+    assert len(committed) == 2 and 0 in committed, committed
+    assert committed[0]["files_md5"] == hashlib.md5(paths[0].encode()).hexdigest()
+    assert len(glob.glob(os.path.join(out_dir, ".tmp-part-*"))) == 2
+
     want = sorted(tuple(r.values()) for r in _oracle_flat(tbl))
 
     def check_out_dir():
@@ -1082,9 +1127,11 @@ def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path):
         assert sorted(tuple(r.values()) for r in flatten_output(out).to_pylist()) == want
 
     # back to partition_size=2: pids 2 and 3 are no longer partitions of
-    # this run, so they are retired
+    # this run, so they are retired, and every temp dir of the crashed run
+    # is removed, those of pids 2 and 3 too
     res4 = run_partitioned(paths, out_dir, partition_size=2, ocr=False)
     assert res4["partitions_run"] == [0, 1]
+    assert glob.glob(os.path.join(out_dir, ".tmp-*")) == []
     assert [os.path.basename(d) for d in res4["output_dirs"]] == [
         "part-00000", "part-00001"
     ]
@@ -1187,8 +1234,8 @@ def test_worker_killed_mid_wave(ray_session, tmp_path, monkeypatch):
     marker = str(tmp_path / "killed")
     real = ep._partition_writer
 
-    def killing_writer(out_dir):
-        write = real(out_dir)
+    def killing_writer(manifest):
+        write = real(manifest)
 
         def once(pid, part):
             out = write(pid, part)
@@ -1222,16 +1269,20 @@ def test_crash_in_second_wave_redoes_only_uncommitted(ray_session, tmp_path, mon
     """A run that raises right after the first commit of its second wave
     (``Manifest.commit`` patched from here to raise once it has committed
     a wave-1 partition) leaves two partitions committed: the first wave's
-    and that one. The raise shuts the wave's execution down before it
-    propagates: no write task of the failed run writes into a
-    ``.tmp-part-*`` dir after it (the writer is patched so that the second
-    wave's first write goes at once and every later one waits 1 s first,
-    so tasks are running and queued when the raise comes, and a cancel
-    does not cut that wait short). A resume
-    started at once in the same process, at another ``batch_size`` (other
-    read groups, so other piece files), runs exactly the other partitions,
-    the uncommitted ones of the execution that was running, leaves no temp
-    dir, and its output equals the oracle row for row, each doc_id once."""
+    and that one. The caller holds the exception, and with it the running
+    execution, while a resume runs at once in the same process at another
+    ``batch_size``. The writer is patched so that the second wave's first
+    write goes at once and every later one waits 1 s first, in a wait a
+    cancel does not cut short, so write tasks of the failed run are still
+    going when the raise comes: at least one of them attempts its write
+    after it. None of those writes is visible: each goes into a temp dir
+    of the failed run, which no commit renames and the resume removes.
+    Once the failed run's tasks have ended, none of its temp dirs and no
+    temp dir at all is left, the resume has run exactly the other
+    partitions, the uncommitted ones of the execution that was running,
+    and the output under ``part-*`` equals the oracle row for row, each
+    doc_id once."""
+    import gc
     import glob
     import time
 
@@ -1249,8 +1300,12 @@ def test_crash_in_second_wave_redoes_only_uncommitted(ray_session, tmp_path, mon
     log = str(tmp_path / "writes.txt")
     real_writer, real_commit = ep._partition_writer, Manifest.commit
 
-    def slow_writer(out_dir):
-        write = real_writer(out_dir)
+    def slow_writer(manifest):
+        write = real_writer(manifest)
+
+        def note(event, pid):
+            with open(log, "a") as f:
+                f.write(f"{time.time()} {event} {manifest.temp_dir(pid)}\n")
 
         def slow(pid, part):
             if pid:  # the second wave
@@ -1265,9 +1320,11 @@ def test_crash_in_second_wave_redoes_only_uncommitted(ray_session, tmp_path, mon
                             time.sleep(wake - time.time())
                         except KeyboardInterrupt:
                             pass
-            with open(log, "a") as f:
-                f.write(f"{time.time()} {pid}\n")
-            return write(pid, part)
+            note("write", pid)
+            try:
+                return write(pid, part)
+            finally:
+                note("done", pid)
 
         return slow
 
@@ -1279,10 +1336,12 @@ def test_crash_in_second_wave_redoes_only_uncommitted(ray_session, tmp_path, mon
         if metrics["wave"] == 1:
             raise Crash(pid)
 
+    def events():
+        with open(log) as f:
+            return [(float(t), e, d) for t, e, d in (line.split() for line in f)]
+
     monkeypatch.setattr(ep, "_partition_writer", slow_writer)
     monkeypatch.setattr(Manifest, "commit", commit)
-    # the caller holds the exception, and with it the frame that ran the
-    # wave, until the resume is done
     with pytest.raises(Crash) as crashed:
         ep.run_partitioned(paths, out_dir, partition_size=1, batch_size=12, ocr=False)
     raised = time.time()
@@ -1290,17 +1349,39 @@ def test_crash_in_second_wave_redoes_only_uncommitted(ray_session, tmp_path, mon
     monkeypatch.setattr(Manifest, "commit", real_commit)
     committed = set(Manifest(out_dir).completed())
     assert len(committed) == 2 and 0 in committed, committed
-
-    res = ep.run_partitioned(paths, out_dir, partition_size=1, batch_size=24, ocr=False)
-    # a task of the failed run still alive would have written 1 s after
-    # the raise
-    time.sleep(max(0.0, raised + 2 - time.time()))
-    assert [line for line in open(log) if float(line.split()[0]) > raised] == []
     assert crashed.value.args[0] in committed
+
+    # the resume's temp dirs, the only ones its commits rename
+    begun, real_begin = [], Manifest.begin
+
+    def begin(self, pid):
+        begun.append(real_begin(self, pid))
+        return begun[-1]
+
+    monkeypatch.setattr(Manifest, "begin", begin)
+    res = ep.run_partitioned(paths, out_dir, partition_size=1, batch_size=24, ocr=False)
+    monkeypatch.setattr(Manifest, "begin", real_begin)
     assert res["partitions_skipped"] == sorted(committed)
     assert res["partitions_run"] == sorted(set(range(8)) - committed)
+    # releasing the exception shuts the failed run's execution down; its
+    # tasks have ended once every write attempt is done and none came for
+    # 3 s (a late one comes 1 s after its task reached the writer)
+    del crashed
+    gc.collect()
+    deadline = time.time() + 60
+    while time.time() < deadline:
+        seen = events()
+        quiet = time.time() - max(t for t, _, _ in seen) > 3
+        if quiet and sum(e == "write" for _, e, _ in seen) == sum(e == "done" for _, e, _ in seen):
+            break
+        time.sleep(0.2)
+    late = {d for t, e, d in seen if e == "write" and t > raised}
+    assert late, "no write of the failed run came after the raise"
+    assert late.isdisjoint(begun), (late, begun)
     assert glob.glob(os.path.join(out_dir, ".tmp-*")) == []
-    out = pa.concat_tables(pq.read_table(f) for f in res["output_files"])
+    files = sorted(glob.glob(os.path.join(out_dir, "part-*", "*.parquet")))
+    assert files == res["output_files"]
+    out = pa.concat_tables(pq.read_table(f) for f in files)
     ids = out.column("doc_id").to_pylist()
     assert len(ids) == len(set(ids))
     got = sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
