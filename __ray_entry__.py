@@ -605,6 +605,7 @@ def _q_html_extract_tokens(sf_dir: str):
 
     import ray.data
 
+    from pdfz_ray.functions.text import count_tokens
     from pdfz_ray.sources.fixtures import ensure_fixtures
     from pdfz_ray.stages.html import main_content_batch
 
@@ -618,7 +619,7 @@ def _q_html_extract_tokens(sf_dir: str):
         return pa.Table.from_arrays(
             [
                 mc.column("doc_id"),
-                pc.cast(pc.count_substring_regex(text, r"\S+"), pa.int64()),
+                count_tokens(text),
                 pc.cast(pc.utf8_length(text), pa.int64()),
             ],
             names=["doc_id", "n_tokens", "n_chars"],

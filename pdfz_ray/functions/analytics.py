@@ -17,6 +17,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .text import split_tokens
+
 
 def status_rollup(docs_ds: "ray.data.Dataset") -> pa.Table:
     """status → doc count over the interleaved input (corrupt sentinel =
@@ -287,10 +289,7 @@ def top_terms(sf_dir: str, k: int = 20) -> "pa.Table":
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        low = pc.utf8_lower(batch.column("text"))
-        toks = pc.split_pattern_regex(low, pattern=r"\s+")
-        flat = toks.combine_chunks().flatten() if batch.num_rows else pa.array([], pa.string())
-        flat = flat.filter(pc.not_equal(flat, ""))  # split artifacts ≠ \S+ matches
+        flat, _ = split_tokens(pc.utf8_lower(batch.column("text")))
         terms, counts = np.unique(np.asarray(flat), return_counts=True)
         return pa.Table.from_arrays(
             [pa.array(terms.astype(object), pa.string()), pa.array(counts.astype(np.int64))],
@@ -311,7 +310,7 @@ def orders_price_quantiles(
     """EXACT distributed quantiles via value-count compaction: each batch
     emits (value, n) partials from one np.unique over integer cents, the
     groupby shuffles distinct-value partials (bounded by price
-    cardinality, not row count), and quantile selection walks the sorted
+    cardinality, not row count), and ``exact_quantile`` walks the sorted
     cumulative counts on the driver. Definition: smallest v with
     cum_count ≥ ceil(q·n) — expressed identically in the SQL twin."""
     ds = ray.data.read_parquet(
@@ -331,20 +330,29 @@ def orders_price_quantiles(
     from ray.data.aggregate import Sum
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    hist = (
-        partials.groupby("v").aggregate(Sum("n", alias_name="n")).to_pandas()
-        .sort_values("v").reset_index(drop=True)
-    )
-    cum = hist["n"].cumsum().to_numpy()
-    total = int(cum[-1]) if len(cum) else 0
-    rows = []
-    for q in q_pcts:
-        target = -(-q * total // 100)  # ceil(q/100 * total) in ints
-        i = int(np.searchsorted(cum, target))
-        rows.append({"q_pct": int(q), "v_cents": int(hist["v"].iloc[i])})
+    hist = partials.groupby("v").aggregate(Sum("n", alias_name="n")).to_pandas()
     import pandas as pd
 
-    return pd.DataFrame(rows)
+    return pd.DataFrame(
+        [
+            {"q_pct": int(q), "v_cents": exact_quantile(hist["v"], hist["n"], q)}
+            for q in q_pcts
+        ]
+    )
+
+
+def exact_quantile(values, counts, pct: int) -> int | None:
+    """Exact ``pct``-th percentile of a value-count histogram (``counts[i]``
+    rows hold ``values[i]``, in any order): the smallest value whose
+    cumulative count reaches ceil(pct% of the rows), in integers. None
+    for an empty histogram."""
+    values, counts = np.asarray(values), np.asarray(counts)
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(counts[order])
+    if not len(cum):
+        return None
+    target = -(-pct * int(cum[-1]) // 100)
+    return int(values[order][np.searchsorted(cum, target)])
 
 
 def lang_distribution(sf_dir: str) -> "pa.Table":
@@ -532,14 +540,7 @@ def heavy_hitters(
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        low = pc.utf8_lower(batch.column("text"))
-        toks = pc.split_pattern_regex(low, pattern=r"\s+")
-        flat = (
-            toks.combine_chunks().flatten()
-            if batch.num_rows
-            else pa.array([], pa.string())
-        )
-        flat = flat.filter(pc.not_equal(flat, ""))
+        flat, _ = split_tokens(pc.utf8_lower(batch.column("text")))
         terms, counts = np.unique(np.asarray(flat), return_counts=True)
         cms = CountMinSketch()
         cms.add(terms, counts)

@@ -29,13 +29,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .analytics import exact_quantile
+from .text import count_tokens, split_tokens
+
 if TYPE_CHECKING:
     import ray.data
-
-# tokens = \S+ runs, identical to the DuckDB oracles'
-# regexp_extract_all(text, '\S+') (ASCII \s only — RE2 on both sides)
-_TOKEN_SPLIT = r"\s+"
-_TRIM = r"^\s+|\s+$"
 
 
 class _push_shuffle_scope:
@@ -73,27 +71,17 @@ def ngram_arrays(text_col, n: int = 3) -> tuple[pa.Array, np.ndarray]:
     parent row indices). Grams are space-joined token windows, exactly
     ``w[i] || ' ' || w[i+1] || ...`` in the SQL twins; docs with < n
     tokens contribute no grams (mirrors generate_series(1, len(w)-n+1)
-    being empty). Requires n >= 2 (an empty doc yields one empty token
-    after trim+split, which can never form a 2+-gram).
+    being empty). Requires n >= 2.
 
-    One regex split + n zero-copy slices + one element-wise join per
-    batch — no Python per row.
+    One regex split (``text.split_tokens``) + n zero-copy slices + one
+    element-wise join per batch — no Python per row.
     """
     if n < 2:
         raise ValueError("ngram_arrays requires n >= 2")
-    text = pc.fill_null(text_col, "")
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
-    trimmed = pc.replace_substring_regex(text, pattern=_TRIM, replacement="")
-    toks = pc.split_pattern_regex(trimmed, pattern=_TOKEN_SPLIT)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = toks.flatten()
-    total = len(flat)
-    m = total - n + 1
+    flat, parent = split_tokens(text_col)
+    m = len(flat) - n + 1
     if m <= 0:
         return pa.array([], pa.string()), np.zeros(0, np.int64)
-    parent = pc.list_parent_indices(toks).to_numpy().astype(np.int64)
     # a gram starting at i is valid iff all n tokens share one document
     mask = parent[:m] == parent[n - 1 :]
     if not mask.any():
@@ -234,10 +222,7 @@ def pack_sequences(
     import ray
 
     def tokens_and_bucket(batch: pa.Table) -> pa.Table:
-        n = pc.cast(
-            pc.count_substring_regex(pc.fill_null(batch.column("text"), ""), r"\S+"),
-            pa.int64(),
-        )
+        n = count_tokens(pc.fill_null(batch.column("text"), ""))
         ids = batch.column("doc_id").to_numpy()
         return pa.Table.from_arrays(
             [batch.column("doc_id"), pa.array(ids // bucket_size), n],
@@ -271,25 +256,25 @@ def pack_sequences(
     offsets_ref = ray.put(dict(zip(totals["bucket"], csum)))
 
     def assign(group: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        offsets = _ray.get(offsets_ref)
-        idx = pc.sort_indices(group.column("doc_id"))
-        g = group.take(idx)
-        n = g.column("n_tokens").to_numpy()
-        start = int(offsets[int(g.column("bucket")[0].as_py())])
-        prev = start + np.concatenate(([0], np.cumsum(n[:-1])))
-        return pa.Table.from_arrays(
-            [
-                g.column("doc_id"),
-                g.column("n_tokens"),
-                pa.array(prev // budget),
-                pa.array(prev % budget),
-            ],
-            names=["doc_id", "n_tokens", "pack_id", "pack_offset"],
-        )
+        return pack_bucket(group, ray.get(offsets_ref), budget)
 
     return narrow.groupby("bucket").map_groups(assign, batch_format="pyarrow")
+
+
+def pack_bucket(group: pa.Table, offsets: dict, budget: int) -> pa.Table:
+    """Phase B of the packing scan for one bucket's rows: sort them by
+    doc_id, take the exclusive cumsum of ``n_tokens`` from the bucket's
+    offset, and append ``pack_id`` (``// budget``) and ``pack_offset``
+    (``% budget``) in place of the ``bucket`` column."""
+    g = group.take(pc.sort_indices(group.column("doc_id")))
+    n = g.column("n_tokens").to_numpy()
+    start = int(offsets[int(g.column("bucket")[0].as_py())])
+    prev = start + np.concatenate(([0], np.cumsum(n[:-1])))
+    return (
+        g.drop_columns(["bucket"])
+        .append_column("pack_id", pa.array(prev // budget))
+        .append_column("pack_offset", pa.array(prev % budget))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +428,7 @@ def doc_rarity(
     import ray
 
     def distinct_terms(batch: pa.Table) -> pa.Table:
-        toks, parent = _doc_tokens(batch.column("text"))
+        toks, parent = split_tokens(batch.column("text"))
         if len(toks) == 0:
             return pa.Table.from_arrays(
                 [pa.array([], pa.int64()), pa.array([], pa.string())],
@@ -495,7 +480,7 @@ def doc_rarity(
             )
             if batch.num_rows == 0:
                 return empty
-            toks, parent = _doc_tokens(batch.column("text"))
+            toks, parent = split_tokens(batch.column("text"))
             if len(toks) == 0:
                 return empty
             idx_arr = pc.index_in(toks, value_set=vocab)
@@ -659,26 +644,38 @@ def doc_rarity(
     return resolved.union(best.map_batches(unkey, batch_format="pyarrow"))
 
 
-def _doc_tokens(text_col) -> tuple[pa.Array, np.ndarray]:
-    """(flat \\S+ tokens, parent row indices) — vectorized; empty docs
-    contribute no tokens."""
-    text = pc.fill_null(text_col, "")
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
-    trimmed = pc.replace_substring_regex(text, pattern=_TRIM, replacement="")
-    toks = pc.split_pattern_regex(trimmed, pattern=_TOKEN_SPLIT)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = toks.flatten()
-    if len(flat) == 0:
-        return pa.array([], pa.string()), np.zeros(0, np.int64)
-    parent = pc.list_parent_indices(toks).to_numpy().astype(np.int64)
-    # drop the single empty token an empty doc produces after trim+split
-    nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-    if not nonempty.all():
-        flat = flat.filter(pa.array(nonempty))
-        parent = parent[nonempty]
-    return flat, parent
+def _token_narrow(ds: "ray.data.Dataset", cols: list[str]) -> "ray.data.Dataset":
+    """Materialized ``cols`` + ``n_tokens`` projection of the corpus (null
+    text counts 0 tokens, as its SQL twin's coalesce)."""
+
+    def tokens(batch: pa.Table) -> pa.Table:
+        n = count_tokens(pc.fill_null(batch.column("text"), ""))
+        return pa.Table.from_arrays(
+            [*(batch.column(c) for c in cols), n], names=[*cols, "n_tokens"]
+        )
+
+    return ds.map_batches(tokens, batch_format="pyarrow").materialize()
+
+
+def _token_histogram(narrow: "ray.data.Dataset", by: list[str]):
+    """Value counts of ``n_tokens`` over a narrow table, per ``by`` group:
+    a pandas frame of (*by, v, c), c docs having v tokens. Each batch
+    pre-aggregates, so the shuffle is bounded by groups × distinct token
+    counts, not docs."""
+    keys = [*by, "n_tokens"]
+
+    def value_counts(batch: pa.Table) -> pa.Table:
+        g = batch.select(keys).group_by(keys).aggregate([("n_tokens", "count")])
+        return g.rename_columns([*by, "v", "c"])
+
+    from ray.data.aggregate import Sum
+
+    return (
+        narrow.map_batches(value_counts, batch_format="pyarrow")
+        .groupby([*by, "v"])
+        .aggregate(Sum("c", alias_name="c"))
+        .to_pandas()
+    )
 
 
 def quality_gate_quantile(
@@ -686,48 +683,19 @@ def quality_gate_quantile(
 ) -> "ray.data.Dataset":
     """Corpus-relative quality gate: keep documents whose token count is at
     or above the exact corpus ``pct``-th percentile (threshold = smallest
-    value whose cumulative count reaches ceil(pct% of docs) — the same
-    walk as ``analytics.orders_price_quantiles``).
+    value whose cumulative count reaches ceil(pct% of docs), by
+    ``analytics.exact_quantile``).
 
     Composition shape: narrow (doc_id, n_tokens) projection materialized
     once → value-count compaction (shuffle bounded by distinct token
     counts, not docs) → driver walks the tiny histogram → threshold
     broadcast into a vectorized filter over the SAME narrow table. The
     text column is tokenized once and never shuffles."""
-    import ray
-
-    def tokens(batch: pa.Table) -> pa.Table:
-        n = pc.cast(
-            pc.count_substring_regex(pc.fill_null(batch.column("text"), ""), r"\S+"),
-            pa.int64(),
-        )
-        return pa.Table.from_arrays(
-            [batch.column("doc_id"), n], names=["doc_id", "n_tokens"]
-        )
-
-    narrow = ds.map_batches(tokens, batch_format="pyarrow").materialize()
-
-    def value_counts(batch: pa.Table) -> pa.Table:
-        g = batch.select(["n_tokens"]).group_by(["n_tokens"]).aggregate(
-            [("n_tokens", "count")]
-        )
-        return g.rename_columns(["v", "c"])
-
-    from ray.data.aggregate import Sum
-
-    hist = (
-        narrow.map_batches(value_counts, batch_format="pyarrow")
-        .groupby("v")
-        .aggregate(Sum("c", alias_name="c"))
-        .to_pandas()
-        .sort_values("v")
-    )
-    cum = hist["c"].cumsum().to_numpy()
-    total = int(cum[-1]) if len(cum) else 0
-    if total == 0:
+    narrow = _token_narrow(ds, ["doc_id"])
+    hist = _token_histogram(narrow, [])
+    thresh = exact_quantile(hist["v"], hist["c"], pct)
+    if thresh is None:
         return narrow
-    target = -(-pct * total // 100)  # ceil(pct/100 * total) in ints
-    thresh = int(hist["v"].iloc[int(np.searchsorted(cum, target))])
 
     def gate(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.greater_equal(batch.column("n_tokens"), thresh))
@@ -748,42 +716,11 @@ def quality_gate_quantile_by_lang(
     histogram per language, and the per-lang thresholds broadcast into
     one vectorized gate pass. Output: (doc_id, lang, n_tokens) of the
     survivors."""
-
-    def tokens(batch: pa.Table) -> pa.Table:
-        n = pc.cast(
-            pc.count_substring_regex(pc.fill_null(batch.column("text"), ""), r"\S+"),
-            pa.int64(),
-        )
-        return pa.Table.from_arrays(
-            [batch.column("doc_id"), batch.column("lang"), n],
-            names=["doc_id", "lang", "n_tokens"],
-        )
-
-    narrow = ds.map_batches(tokens, batch_format="pyarrow").materialize()
-
-    def value_counts(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select(["lang", "n_tokens"])
-            .group_by(["lang", "n_tokens"])
-            .aggregate([("n_tokens", "count")])
-        )
-        return g.rename_columns(["lang", "v", "c"])
-
-    from ray.data.aggregate import Sum
-
-    hist = (
-        narrow.map_batches(value_counts, batch_format="pyarrow")
-        .groupby(["lang", "v"])
-        .aggregate(Sum("c", alias_name="c"))
-        .to_pandas()
-    )
-    thresholds: dict[str, int] = {}
-    for lang, sub in hist.groupby("lang"):
-        sub = sub.sort_values("v")
-        cum = sub["c"].cumsum().to_numpy()
-        total = int(cum[-1])
-        target = -(-pct * total // 100)
-        thresholds[str(lang)] = int(sub["v"].iloc[int(np.searchsorted(cum, target))])
+    narrow = _token_narrow(ds, ["doc_id", "lang"])
+    thresholds = {
+        str(lang): exact_quantile(sub["v"], sub["c"], pct)
+        for lang, sub in _token_histogram(narrow, ["lang"]).groupby("lang")
+    }
     langs = pa.array(sorted(thresholds), pa.string())
     thr = np.array([thresholds[s] for s in sorted(thresholds)], np.int64)
 
@@ -808,7 +745,7 @@ def curation_narrow_batch(
 
     bench = bench_ref if isinstance(bench_ref, pa.Array) else ray.get(bench_ref)
     text = pc.fill_null(batch.column("text"), "")
-    n_tok = pc.cast(pc.count_substring_regex(text, r"\S+"), pa.int64())
+    n_tok = count_tokens(text)
     h = [hashlib.md5((t or "").encode()).hexdigest() for t in text.to_pylist()]
     contaminated = np.zeros(batch.num_rows, bool)
     grams, parent = ngram_arrays(text, n)
@@ -852,28 +789,12 @@ def curation_state(
         batch_format="pyarrow",
     ).materialize()
 
-    def value_counts(batch: pa.Table) -> pa.Table:
-        g = batch.select(["n_tokens"]).group_by(["n_tokens"]).aggregate(
-            [("n_tokens", "count")]
-        )
-        return g.rename_columns(["v", "c"])
-
-    from ray.data.aggregate import Count, Min, Sum
-
-    hist = (
-        narrow.map_batches(value_counts, batch_format="pyarrow")
-        .groupby("v")
-        .aggregate(Sum("c", alias_name="c"))
-        .to_pandas()
-        .sort_values("v")
-    )
-    cum = hist["c"].cumsum().to_numpy()
-    total = int(cum[-1]) if len(cum) else 0
-    if total == 0:
+    hist = _token_histogram(narrow, [])
+    thresh = exact_quantile(hist["v"], hist["c"], pct)
+    if thresh is None:
         thresh = 0
-    else:
-        target = -(-pct * total // 100)
-        thresh = int(hist["v"].iloc[int(np.searchsorted(cum, target))])
+
+    from ray.data.aggregate import Count, Min
 
     def only_dups(batch: pa.Table) -> pa.Table:
         # drop single-copy groups IN THE DATA PLANE: only the (tiny)
@@ -903,19 +824,19 @@ def curation_state(
 
 
 def survivor_mask_and_split(
-    ids: np.ndarray,
-    n_tokens: np.ndarray,
-    content_hashes: list,
-    contaminated: np.ndarray,
+    batch: pa.Table,
     thresh: int,
     winner_of: dict,
     train_pct: int = 80,
     val_pct: int = 10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch-local curation verdict: (keep mask, split labels). Shared by
-    the query path and the shard writer so both can never disagree."""
-    keep = n_tokens >= thresh
-    keep &= ~contaminated
+    """Batch-local curation verdict over rows of the ``curation_state``
+    narrow schema: (keep mask, split labels). Shared by the query path and
+    the shard writer so both can never disagree."""
+    ids = batch.column("doc_id").to_numpy()
+    content_hashes = batch.column("content_hash").to_pylist()
+    keep = batch.column("n_tokens").to_numpy() >= thresh
+    keep &= ~batch.column("contaminated").to_numpy(zero_copy_only=False)
     if winner_of:
         losers = np.array(
             [winner_of.get(h, i) != i for h, i in zip(content_hashes, ids)],
@@ -956,17 +877,8 @@ def curate_corpus(
 
     def finalize(batch: pa.Table) -> pa.Table:
         winners, thr = ray.get(ref)
+        keep, split = survivor_mask_and_split(batch, thr, winners, train_pct, val_pct)
         ids = batch.column("doc_id").to_numpy()
-        keep, split = survivor_mask_and_split(
-            ids,
-            batch.column("n_tokens").to_numpy(),
-            batch.column("content_hash").to_pylist(),
-            batch.column("contaminated").to_numpy(zero_copy_only=False),
-            thr,
-            winners,
-            train_pct,
-            val_pct,
-        )
         return pa.Table.from_arrays(
             [pa.array(ids[keep]), pa.array(split[keep])],
             names=["doc_id", "split"],
@@ -1152,7 +1064,7 @@ def _window_hashes(
     negligible below ~10^8 distinct windows per verification corpus;
     at web scale the stats are fingerprint-grade, the standard trade
     for this op."""
-    toks, parent = _doc_tokens(text_col)
+    toks, parent = split_tokens(text_col)
     acc, valid, w = _combine_windows(toks, parent, n, base)
     if w <= 0:
         return np.zeros(0, np.uint64), np.zeros(0, np.int64)
@@ -1574,12 +1486,7 @@ def mixture_plan(
     sum_w_default = 1
 
     def token_partial(batch: pa.Table) -> pa.Table:
-        nt = pc.cast(
-            pc.count_substring_regex(
-                pc.fill_null(batch.column("text"), ""), r"\S+"
-            ),
-            pa.int64(),
-        )
+        nt = count_tokens(pc.fill_null(batch.column("text"), ""))
         return pa.Table.from_arrays(
             [batch.column("source"), nt], names=["source", "nt"]
         )
@@ -1846,12 +1753,7 @@ def inference_buckets(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     from ray.data.aggregate import Count, Sum
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        nt = pc.cast(
-            pc.count_substring_regex(
-                pc.fill_null(batch.column("text"), ""), r"\S+"
-            ),
-            pa.int64(),
-        ).to_numpy()
+        nt = count_tokens(pc.fill_null(batch.column("text"), "")).to_numpy()
         # next power of two ≥ max(nt, 1); float log2 is exact at the
         # boundaries (powers of two are exact doubles) — matches the SQL
         b = np.power(2.0, np.ceil(np.log2(np.maximum(nt, 1)))).astype(np.int64)
@@ -1894,7 +1796,7 @@ def _passage_dedup_sharded(
         )
         if batch.num_rows == 0:
             return empty
-        toks, parent = _doc_tokens(batch.column("text"))
+        toks, parent = split_tokens(batch.column("text"))
         acc, valid, w = _combine_windows(toks, parent, n)
         if w <= 0 or not valid.any():
             return empty
@@ -2001,7 +1903,7 @@ def _passage_dedup_sharded(
         texts = group.filter(pa.array(is_text))
         if texts.num_rows == 0:
             return empty
-        toks, parent = _doc_tokens(texts.column("text"))
+        toks, parent = split_tokens(texts.column("text"))
         L = len(toks)
         if L == 0:
             return empty
@@ -2076,7 +1978,7 @@ def passage_dedup_corpus(
         )
         if batch.num_rows == 0:
             return empty
-        toks, parent = _doc_tokens(batch.column("text"))
+        toks, parent = split_tokens(batch.column("text"))
         L = len(toks)
         if L == 0:
             return empty

@@ -9,8 +9,7 @@ indexing and topic routing. All three follow this repo's standing rules:
 vectorized Arrow/numpy kernels inside ``map_batches`` (no per-row Python
 in hot paths), per-batch pre-aggregation before any ``groupby`` so only
 distinct-key partials shuffle, and DuckDB-twin-exact token semantics
-(tokens = RE2 ``\\S+`` runs, the same convention as
-``functions/curation.ngram_arrays`` / ``functions/analytics.top_terms``).
+(tokens = RE2 ``\\S+`` runs, all from ``functions/text.split_tokens``).
 
 Reference parity note: the reference repo (codad5/pdfz) has no analogous
 operators — these belong to the "operations a large-scale training-data
@@ -28,29 +27,10 @@ import pyarrow.compute as pc
 
 import ray
 
+from .text import split_tokens
+
 if TYPE_CHECKING:
     import ray.data
-
-# tokens = \S+ runs — identical to the DuckDB oracles'
-# regexp_extract_all(text, '\S+') (RE2 on both sides, ASCII \s)
-_TOKEN_SPLIT = r"\s+"
-_TRIM = r"^\s+|\s+$"
-
-
-def _split_tokens(text_col) -> pa.ListArray:
-    """fill_null + trim + \\s+ split → list<utf8>. A doc that is empty (or
-    all-whitespace) after trim splits to a single "" token; callers mask
-    those docs out to match the SQL ``regexp_extract_all`` convention
-    (which yields an empty list instead)."""
-    text = pc.fill_null(text_col, "")
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
-    trimmed = pc.replace_substring_regex(text, pattern=_TRIM, replacement="")
-    toks = pc.split_pattern_regex(trimmed, pattern=_TOKEN_SPLIT)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    return toks
-
 
 def chunk_documents_batch(
     batch: pa.Table, chunk_tokens: int = 64, stride: int = 48
@@ -89,18 +69,8 @@ def chunk_documents_batch(
     )
     if batch.num_rows == 0:
         return empty
-    toks = _split_tokens(batch.column("text"))
-    raw_len = pc.list_value_length(toks).to_numpy().astype(np.int64)
-    # all-whitespace docs split to [""] — treat as 0 tokens (SQL: empty
-    # list). After trim a non-empty doc never yields "" tokens, so doc is
-    # empty ⇔ its first token is "" (no full-document join needed). The
-    # "" artifact still occupies a slot in the flattened token stream, so
-    # flat offsets (tok_base) use RAW lengths while chunk math uses the
-    # zeroed counts.
-    is_empty = pc.equal(pc.list_element(toks, 0), "").to_numpy(
-        zero_copy_only=False
-    )
-    n_tok = np.where(is_empty, 0, raw_len)
+    flat, parent = split_tokens(batch.column("text"))
+    n_tok = np.bincount(parent, minlength=batch.num_rows)
     n_chunks = (n_tok + stride - 1) // stride  # ceil(n/stride); 0 stays 0
     total = int(n_chunks.sum())
     if total == 0:
@@ -116,8 +86,7 @@ def chunk_documents_batch(
     # slices at the 1M-doc tier): build the flat token-index stream of
     # every chunk's [start_tok, end_tok) range, take those tokens in one
     # C gather, wrap them in a ListArray by chunk, and binary_join once
-    tok_base = np.concatenate(([0], np.cumsum(raw_len)))[:-1]
-    flat = toks.flatten()
+    tok_base = np.concatenate(([0], np.cumsum(n_tok)))[:-1]
     sizes = end_tok - start_tok
     n_taken = int(sizes.sum())
     chunk_base = np.cumsum(sizes) - sizes
@@ -206,15 +175,8 @@ def _doc_term_rows(batch: pa.Table) -> pa.Table:
     keeps them atomic under any later re-batching/block split of the
     materialized projection, so the scoring pass's doc-local top-k never
     sees half a document."""
-    toks = _split_tokens(pc.utf8_lower(batch.column("text")))
-    flat = toks.flatten()
-    keep = pc.not_equal(flat, "")  # all-whitespace docs' "" artifact
-    parent = pc.list_parent_indices(toks).to_numpy().astype(np.int64)
-    flat_kept = flat.filter(keep)
-    parent = parent[keep.to_numpy(zero_copy_only=False)]
-    t = pa.Table.from_arrays(
-        [pa.array(parent), flat_kept], names=["row", "term"]
-    )
+    flat, parent = split_tokens(pc.utf8_lower(batch.column("text")))
+    t = pa.Table.from_arrays([pa.array(parent), flat], names=["row", "term"])
     g = t.group_by(["row", "term"], use_threads=False).aggregate(
         [("term", "count")]
     )

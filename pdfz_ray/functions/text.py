@@ -23,6 +23,28 @@ STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "on", "for", "data")
 PUNCT_RE = r"[.,;:!?]"
 TOKEN_RE = r"\S+"
 
+
+def split_tokens(text) -> tuple[pa.Array, np.ndarray]:
+    """The ``\\S+`` tokens of a utf8 column in order, and the row each came
+    from: one RE2 split on ``\\s+`` with its empty pieces dropped, which is
+    DuckDB's ``regexp_extract_all(text, '\\S+')`` (ASCII whitespace only:
+    NBSP, U+3000 and VT stay inside tokens). A null, empty or
+    all-whitespace row has no tokens."""
+    toks = pc.split_pattern_regex(text, pattern=r"\s+")
+    if isinstance(toks, pa.ChunkedArray):
+        toks = toks.combine_chunks()
+    flat = toks.flatten()
+    parent = pc.list_parent_indices(toks).to_numpy().astype(np.int64)
+    keep = pc.not_equal(flat, "")
+    return flat.filter(keep), parent[keep.to_numpy(zero_copy_only=False)]
+
+
+def count_tokens(text) -> pa.Array:
+    """int64 ``\\S+`` token count per row; a null row stays null, so a
+    caller whose SQL twin coalesces passes filled text."""
+    return pc.cast(pc.count_substring_regex(text, TOKEN_RE), pa.int64())
+
+
 # the 64-bit content keys are polynomial hashes mod 2^64 in base
 # ``POLY_BASE``, shared with their reference loops in the oracle: numpy
 # uint64 wraparound IS the modulus, which is what makes the kernels
@@ -85,30 +107,18 @@ def text_stats_batch(batch: pa.Table) -> pa.Table:
     """Integer quality counters per doc (SQL-exact; no floats)."""
     text = batch.column("text")
     n_chars = pc.utf8_length(text)
-    n_tokens = pc.count_substring_regex(text, TOKEN_RE)
     n_punct = pc.count_substring_regex(text, PUNCT_RE)
-    low = pc.utf8_lower(text)
-    # split on the same RE2 \s+ the DuckDB oracle uses (ASCII whitespace
-    # only — Python str.split() also splits on NBSP/U+2028 and diverges)
-    toks = pc.split_pattern_regex(low, pattern=r"\s+")
-    toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-    flat = toks.flatten()
-    if len(flat):
-        parent = pc.list_parent_indices(toks).to_numpy().astype(np.int64)
-        is_stop = pc.is_in(flat, value_set=pa.array(STOPWORDS)).to_numpy(
-            zero_copy_only=False
-        )
-        n_stop = np.bincount(
-            parent, weights=is_stop.astype(np.float64), minlength=len(toks)
-        ).astype(np.int64)
-    else:
-        n_stop = np.zeros(len(toks), np.int64)
+    flat, parent = split_tokens(pc.utf8_lower(text))
+    is_stop = pc.is_in(flat, value_set=pa.array(STOPWORDS)).to_numpy(
+        zero_copy_only=False
+    )
+    n_stop = np.bincount(parent[is_stop], minlength=batch.num_rows)
     return pa.Table.from_arrays(
         [
             batch.column("doc_id"),
             pc.cast(n_chars, pa.int64()),
-            pc.cast(n_tokens, pa.int64()),
-            pa.array(n_stop),
+            count_tokens(text),
+            pa.array(n_stop.astype(np.int64)),
             pc.cast(n_punct, pa.int64()),
         ],
         names=["doc_id", "n_chars", "n_tokens", "n_stopwords", "n_punct"],
@@ -346,12 +356,11 @@ def token_count_batch(batch: pa.Table) -> pa.Table:
     """Whitespace token count + a BPE-ish subword count (regex pieces:
     word chunks of <=4 chars, digits, punctuation singles)."""
     text = batch.column("text")
-    ws = pc.count_substring_regex(text, TOKEN_RE)
     bpe = pc.count_substring_regex(text, r"[A-Za-z]{1,4}|[0-9]+|[^A-Za-z0-9\s]")
     return pa.Table.from_arrays(
         [
             batch.column("doc_id"),
-            pc.cast(ws, pa.int64()),
+            count_tokens(text),
             pc.cast(bpe, pa.int64()),
         ],
         names=["doc_id", "n_tokens", "n_subwords"],

@@ -16,9 +16,10 @@ Scale shape:
   corpus-sized survivor broadcast;
 - packing is PER SHARD (the standard pretraining layout: each shard is an
   independently consumable file of packed sequences), via the same
-  two-phase bucket prefix scan as `pack_sequences`, with bucket totals
-  computed from the materialized narrow table — only the within-shard
-  bucket groupby touches payload rows;
+  two-phase bucket prefix scan and kernel (`pack_bucket`) as
+  `pack_sequences`, with bucket totals computed from the materialized
+  narrow table — only the within-shard bucket groupby touches payload
+  rows;
 - one shard = one atomic commit (temp dir → rename + manifest line);
   resume skips shards whose parameter fingerprint matches.
 """
@@ -26,7 +27,6 @@ Scale shape:
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 
 import numpy as np
@@ -40,9 +40,10 @@ import ray.data
 from ..functions.curation import (
     curation_narrow_batch,
     curation_state,
+    pack_bucket,
     survivor_mask_and_split,
 )
-from ..state.manifest import Manifest
+from ..state.manifest import Manifest, input_identity
 
 
 def write_training_shards(
@@ -74,14 +75,11 @@ def write_training_shards(
     span = narrow.aggregate(Min("doc_id"), Max("doc_id"))
     lo_id, hi_id = int(span["min(doc_id)"]), int(span["max(doc_id)"])
     width = -(-(hi_id - lo_id + 1) // n_shards)  # ceil
-    # the fingerprint covers input file IDENTITY (size + mtime), not just
-    # paths: an input parquet rewritten in place must invalidate committed
-    # shards — a resumed run over changed bytes would silently keep stale
-    # output labeled complete
-    input_sig = [
-        (p, os.path.getsize(p), int(os.path.getmtime(p)))
-        for p in sorted(input_paths)
-    ]
+    # the fingerprint covers input file IDENTITY (size + mtime in ns), not
+    # just paths: an input parquet rewritten in place must invalidate
+    # committed shards — a resumed run over changed bytes would silently
+    # keep stale output labeled complete
+    input_sig = [input_identity(p) for p in sorted(input_paths)]
     params_md5 = hashlib.md5(
         "|".join(
             map(str, [input_sig, n_shards, budget, pct, n, modulus, split, bucket_size])
@@ -98,14 +96,7 @@ def write_training_shards(
     def survivors(nb: pa.Table) -> pa.Array:
         """Batch-local survivor + split keep mask of narrow-schema rows."""
         winners, thr = ray.get(gate_ref)
-        keep, splits = survivor_mask_and_split(
-            nb.column("doc_id").to_numpy(),
-            nb.column("n_tokens").to_numpy(),
-            nb.column("content_hash").to_pylist(),
-            nb.column("contaminated").to_numpy(zero_copy_only=False),
-            thr,
-            winners,
-        )
+        keep, splits = survivor_mask_and_split(nb, thr, winners)
         return pa.array(keep & (splits == split))
 
     # per-(shard, bucket) survivor token totals from the NARROW table in ONE
@@ -180,22 +171,7 @@ def write_training_shards(
             )
 
         def assign(group: pa.Table) -> pa.Table:
-            offsets = ray.get(offsets_ref)
-            idx = pc.sort_indices(group.column("doc_id"))
-            g = group.take(idx)
-            ntok = g.column("n_tokens").to_numpy()
-            start = int(offsets[int(g.column("bucket")[0].as_py())])
-            prev = start + np.concatenate(([0], np.cumsum(ntok[:-1])))
-            return pa.Table.from_arrays(
-                [
-                    g.column("doc_id"),
-                    g.column("text"),
-                    g.column("n_tokens"),
-                    pa.array(prev // budget),
-                    pa.array(prev % budget),
-                ],
-                names=["doc_id", "text", "n_tokens", "pack_id", "pack_offset"],
-            )
+            return pack_bucket(group, ray.get(offsets_ref), budget)
 
         packed = (
             shard_ds.map_batches(keep_survivors, batch_format="pyarrow")

@@ -94,7 +94,7 @@ import ray.data
 from ..jobs import jobs_table_to_lookup
 from ..stages.engines import ocr_task
 from ..stages.extract import extract_batch, flatten_output
-from ..state.manifest import Manifest
+from ..state.manifest import Manifest, input_identity
 
 log = logging.getLogger(__name__)
 
@@ -472,7 +472,9 @@ def run_partitioned(
     Manifest rows: the partition's counts (``docs``, ``docs_failed``,
     ``pages``, ``decode_failures``, ``empty_pages``), ``wave`` (0 for the
     first partition run, 1 for the rest), ``wall_s`` (the wave's wall time
-    up to this partition's commit) and ``files_md5``. Each wave logs one
+    up to this partition's commit) and ``files_md5`` (the fingerprint of
+    the (path, size, mtime) of every input file up to the partition's last
+    one, which a resume must match). Each wave logs one
     DEBUG record on the ``pdfz_ray`` logger. OCR runs in the extract task
     with a per-worker engine cache. ``metrics``: the name of a live
     ``MetricsActor`` (state/metrics.py), pollable mid-run with
@@ -496,16 +498,20 @@ def run_partitioned(
         (pid, input_paths[lo : lo + partition_size])
         for pid, lo in enumerate(range(0, len(input_paths), partition_size))
     ]
-    # fingerprint each partition's file list: a manifest 'done' entry is
-    # honored only if the partition still maps to the same files — resuming
-    # with a different --partition-size or input set must not skip pids
-    # that now cover different chunks (would duplicate/drop documents); a
-    # row without a fingerprint (an older manifest) matches no chunking, so
-    # its pid re-runs
-    chunk_md5 = {
-        pid: hashlib.md5("\n".join(files).encode()).hexdigest()
-        for pid, files in chunks
-    }
+    # fingerprint each partition by the identity of every input file up to
+    # its last one, chained: fp[p] = md5(fp[p-1], identities of p's files).
+    # A manifest 'done' entry is honored only if it still matches — a
+    # different --partition-size or input set must not skip pids that now
+    # cover different chunks, and a file rewritten in place re-runs its
+    # partition and every later one, whose first copies it may now hold
+    # (would duplicate/drop documents or keep stale ones). Appended files
+    # re-run nothing committed. A row without a fingerprint (an older
+    # manifest) or with a path-only one matches no chunking, so its pid
+    # re-runs
+    fp, chunk_md5 = "", {}
+    for pid, files in chunks:
+        fp = hashlib.md5("\n".join([fp, *map(input_identity, files)]).encode()).hexdigest()
+        chunk_md5[pid] = fp
     committed = manifest.completed()
     for pid in sorted(set(committed) - set(chunk_md5)):
         manifest.retire(pid)

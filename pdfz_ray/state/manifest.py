@@ -32,6 +32,14 @@ import time
 import uuid
 
 
+def input_identity(path: str) -> str:
+    """An input file's identity for a resume fingerprint, from one
+    ``os.stat``: its path, size and mtime in ns. A rewrite in place
+    changes it, even at the same size within the same second."""
+    st = os.stat(path)
+    return f"{path}|{st.st_size}|{st.st_mtime_ns}"
+
+
 class Manifest:
     """Append-only JSONL manifest of completed partitions. Each instance is
     one run: ``run`` is the token in the names of its temp dirs."""

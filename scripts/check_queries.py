@@ -4,10 +4,13 @@ correctness gate, reproduced locally. Run from /root/repo:
     python scripts/check_queries.py [sf_dir] [only_csv]
 
 Optional second arg: comma-separated query names to check (default all).
+Each line gives the verdict, the query's wall seconds (the call and its
+``to_pandas``, not the oracle) and its name.
 """
 
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -59,16 +62,18 @@ def main(sf_dir: str = "/root/testdata/sf0.01", only: str = "") -> int:
     failures = 0
     for name, fn in qs.items():
         try:
+            t0 = time.perf_counter()
             got = fn(sf_dir)
             if hasattr(got, "to_pandas"):
                 got = got.to_pandas()
+            secs = time.perf_counter() - t0
             if name in sqls:
                 want = con.execute(sqls[name]).df()
                 ok, msg = compare(got, want)
-                print(("PASS " if ok else "FAIL ") + name + ": " + msg)
+                print(f"{'PASS' if ok else 'FAIL'} {secs:7.3f}s {name}: {msg}")
                 failures += 0 if ok else 1
             else:
-                print(f"ROWS {name}: {len(got)} rows (no SQL oracle)")
+                print(f"ROWS {secs:7.3f}s {name}: {len(got)} rows (no SQL oracle)")
         except Exception as ex:  # noqa: BLE001
             print(f"ERR  {name}: {type(ex).__name__}: {ex}")
             failures += 1

@@ -173,6 +173,39 @@ def test_normalize_unicode_whitespace_matches_duckdb(ray_session):
     assert stats["n_stopwords"] == [r[0] for r in want_stop]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,
+        "",
+        " \t\n ",
+        "  lead and trail  ",
+        "a\tb\nc\rd\x0ce",
+        "no\xa0break",  # NBSP: inside a token for RE2
+        "wide　space",  # U+3000: inside a token for RE2
+        "v\x0bt \x0b",  # VT: RE2 keeps it in a token, Python's re.ASCII splits
+    ],
+)
+def test_token_rule_matches_duckdb(text):
+    """The shared tokenizer and token count give DuckDB's
+    ``regexp_extract_all(coalesce(text, ''), '\\S+')`` for every
+    whitespace class, null and empty text included."""
+    import duckdb
+
+    from pdfz_ray.functions.text import count_tokens, split_tokens
+
+    want = duckdb.execute(
+        r"SELECT regexp_extract_all(coalesce(?, ''), '\S+')", [text]
+    ).fetchone()[0]
+    col = pa.array([text], pa.string())
+    toks, parent = split_tokens(col)
+    assert toks.to_pylist() == want
+    assert parent.tolist() == [0] * len(want)
+    assert count_tokens(pa.array([text or ""], pa.string())).to_pylist() == [len(want)]
+    # the count does not fill nulls: a caller whose SQL twin coalesces does
+    assert count_tokens(col).to_pylist() == [None if text is None else len(want)]
+
+
 def test_neardup_groups_distributed_matches_union_find(ray_session):
     """Data-plane min-label propagation == driver union-find, including
     chains (diameter > 1), triangles, and singleton-free edge sets."""

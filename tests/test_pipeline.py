@@ -443,6 +443,66 @@ def test_resume_reruns_commit_without_fingerprint(ray_session, corpus_files, tmp
     assert got == sorted(tuple(r.values()) for r in _oracle_flat(tbl))
 
 
+def _resume_after_rewrite(tmp_path, before, after):
+    """Run two files (``before``: name → doc rows) at partition size 1,
+    rewrite them in place as ``after``, resume, and return the resume's
+    result once every parquet file under the output dir holds each doc
+    once, oracle-exact over the rewritten files."""
+    import glob
+
+    from pdfz_ray.pipelines.extract_pipeline import run_partitioned
+    from pdfz_ray.schema import DOCUMENTS_SCHEMA
+    from pdfz_ray.stages.extract import flatten_output
+
+    paths = [str(tmp_path / f"{name}.parquet") for name in before]
+
+    def write(files):
+        for path, rows in zip(paths, files.values()):
+            pq.write_table(pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA), path)
+
+    out_dir = str(tmp_path / "out")
+    write(before)
+    assert run_partitioned(paths, out_dir, partition_size=1, ocr=False)["partitions_run"] == [0, 1]
+    write(after)
+    res = run_partitioned(paths, out_dir, partition_size=1, ocr=False)
+    files = glob.glob(os.path.join(out_dir, "**", "*.parquet"), recursive=True)
+    out = pa.concat_tables([pq.read_table(f) for f in files])
+    ids = out.column("doc_id").to_pylist()
+    assert len(ids) == len(set(ids))
+    want = pa.Table.from_pylist(
+        [r for rows in after.values() for r in rows], schema=DOCUMENTS_SCHEMA
+    )
+    got = sorted(tuple(r.values()) for r in flatten_output(out).to_pylist())
+    assert got == sorted(tuple(r.values()) for r in _oracle_flat(want))
+    return res
+
+
+def test_resume_reruns_file_rewritten_in_place(ray_session, tmp_path):
+    """A file rewritten in place with 2 of its 4 docs re-runs its
+    partition and the later one: the two dropped docs leave the output."""
+    from pdfz_ray.corpus import make_document
+
+    rows = [make_document(i, monster_spans=50) for i in range(8)]
+    res = _resume_after_rewrite(
+        tmp_path, {"a": rows[:4], "b": rows[4:]}, {"a": rows[:2], "b": rows[4:]}
+    )
+    assert res["partitions_run"] == [0, 1]
+
+
+def test_resume_reruns_later_partition_of_new_first_copy(ray_session, tmp_path):
+    """An earlier file rewritten to hold a copy of an id that committed
+    later partition 1 wrote: that copy is now the first, so the resume
+    re-runs partition 1 too, which drops its own copy."""
+    from pdfz_ray.corpus import make_document
+
+    rows = [make_document(i, monster_spans=50) for i in range(8)]
+    copy = {**make_document(99, monster_spans=50), "doc_id": rows[5]["doc_id"]}
+    res = _resume_after_rewrite(
+        tmp_path, {"a": rows[:4], "b": rows[4:]}, {"a": rows[:4] + [copy], "b": rows[4:]}
+    )
+    assert res["partitions_run"] == [0, 1]
+
+
 def test_resume_after_torn_manifest_line(ray_session, corpus_files, tmp_path):
     """A crash mid-append leaves the manifest's last line torn: resume
     skips the partitions committed before it, re-runs only the torn one,
@@ -1075,7 +1135,7 @@ def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path, mo
 
     from pdfz_ray.pipelines.extract_pipeline import run_partitioned
     from pdfz_ray.stages.extract import flatten_output
-    from pdfz_ray.state.manifest import Manifest
+    from pdfz_ray.state.manifest import Manifest, input_identity
 
     tbl, paths = corpus_files
     out_dir = str(tmp_path / "out_chunk")
@@ -1113,7 +1173,9 @@ def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path, mo
     monkeypatch.setattr(Manifest, "commit", real_commit)
     committed = Manifest(out_dir).completed()
     assert len(committed) == 2 and 0 in committed, committed
-    assert committed[0]["files_md5"] == hashlib.md5(paths[0].encode()).hexdigest()
+    assert committed[0]["files_md5"] == hashlib.md5(
+        ("\n" + input_identity(paths[0])).encode()
+    ).hexdigest()
     assert len(glob.glob(os.path.join(out_dir, ".tmp-part-*"))) == 2
 
     want = sorted(tuple(r.values()) for r in _oracle_flat(tbl))
@@ -1810,6 +1872,46 @@ def test_write_training_shards_resumable(ray_session, tmp_path):
     os.utime(src, (os.path.getatime(src), os.path.getmtime(src) + 2))
     res4 = write_training_shards(src, out, n_shards=3, budget=32)
     assert sorted(res4["ran"]) == [0, 1, 2]
+
+
+def test_write_training_shards_subsecond_rewrite(ray_session, tmp_path):
+    """An input rewritten in place at the same size, its mtime moved by
+    under one second within the same whole second, re-runs every shard:
+    the fingerprint keys mtime in ns, not in whole seconds."""
+    import pyarrow.dataset as pds
+
+    from pdfz_ray.pipelines.curation_pipeline import write_training_shards
+
+    words = [f"w{i}" for i in range(30)]
+    rows = [
+        {"doc_id": i, "text": " ".join(words[(i * 7 + k) % 30] for k in range(5 + i % 9))}
+        for i in range(60)
+    ]
+    src = str(tmp_path / "docs.parquet")
+
+    def write(rows, mtime_ns):
+        # plain, uncompressed and without statistics: a rewrite with
+        # same-length texts keeps the file size
+        pq.write_table(
+            pa.Table.from_pylist(rows), src, compression="none",
+            use_dictionary=False, write_statistics=False,
+        )
+        os.utime(src, ns=(mtime_ns, mtime_ns))
+
+    second = os.stat(tmp_path).st_mtime_ns // 10**9 * 10**9
+    write(rows, second + 100_000_000)
+    size = os.path.getsize(src)
+    out = str(tmp_path / "shards")
+    assert sorted(write_training_shards(src, out, n_shards=2, budget=64)["ran"]) == [0, 1]
+
+    # every w → v: same lengths, the same survivors, new bytes
+    new_rows = [{**r, "text": r["text"].replace("w", "v")} for r in rows]
+    write(new_rows, second + 600_000_000)
+    assert os.path.getsize(src) == size
+    res = write_training_shards(src, out, n_shards=2, budget=64)
+    assert sorted(res["ran"]) == [0, 1]
+    texts = pds.dataset(out, format="parquet").to_table().column("text").to_pylist()
+    assert texts and all("w" not in t for t in texts)
 
 
 def test_write_training_shards_empty_shard(ray_session, tmp_path):
