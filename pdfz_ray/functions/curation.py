@@ -109,7 +109,8 @@ def benchmark_gram_set(
         return pa.Table.from_arrays([g.unique()], names=["gram"])
 
     parts = ds.map_batches(distinct_grams, batch_format="pyarrow").to_pandas()
-    return pa.array(parts["gram"], pa.string()).unique()
+    # an empty corpus gives a frame without columns
+    return pa.array(parts.get("gram", []), pa.string()).unique()
 
 
 def decontaminate_batch(batch: pa.Table, bench_ref=None, n: int = 3) -> pa.Table:
@@ -659,9 +660,9 @@ def _token_narrow(ds: "ray.data.Dataset", cols: list[str]) -> "ray.data.Dataset"
 
 def _token_histogram(narrow: "ray.data.Dataset", by: list[str]):
     """Value counts of ``n_tokens`` over a narrow table, per ``by`` group:
-    a pandas frame of (*by, v, c), c docs having v tokens. Each batch
-    pre-aggregates, so the shuffle is bounded by groups × distinct token
-    counts, not docs."""
+    a pandas frame of (*by, v, c), c docs having v tokens (no rows, with
+    those columns, for an empty table). Each batch pre-aggregates, so the
+    shuffle is bounded by groups × distinct token counts, not docs."""
     keys = [*by, "n_tokens"]
 
     def value_counts(batch: pa.Table) -> pa.Table:
@@ -675,6 +676,8 @@ def _token_histogram(narrow: "ray.data.Dataset", by: list[str]):
         .groupby([*by, "v"])
         .aggregate(Sum("c", alias_name="c"))
         .to_pandas()
+        # an empty table's groupby gives a frame without columns
+        .reindex(columns=[*by, "v", "c"])
     )
 
 

@@ -53,14 +53,16 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--no-resume", action="store_true",
                    help="reprocess committed partitions")
     p.add_argument("--batch-size", type=_at_least_one, default=BATCH_ROWS,
-                   help="most rows per extract kernel call, and the target "
-                        "rows per read task: the files of each of the two "
-                        "executions (the first partition, then the rest in "
-                        "one execution) are grouped into tasks of up to "
-                        "this many rows, each task reads its files in "
-                        "pieces of at most this many rows from one "
-                        "partition's files, and a larger file is read in "
-                        "slices of this many rows (default %(default)s)")
+                   help="most rows per extract kernel call and per written "
+                        "file: each task reads its files in pieces of at "
+                        "most this many rows from one partition's files. "
+                        "Task size is separate: the files of each of the "
+                        "two executions (the first partition, then the rest "
+                        "in one execution) are grouped into about two tasks "
+                        "per cluster CPU, at a row target of at least this "
+                        "many and at most 16 times this many rows; a task "
+                        "of several files holds under twice its target "
+                        "(default %(default)s)")
     p.add_argument("--num-cpus", type=_at_least_one, default=None,
                    help="ray.init num_cpus when starting a local session")
     p.add_argument("--metrics", default=None, metavar="NAME",

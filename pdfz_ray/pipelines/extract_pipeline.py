@@ -21,8 +21,9 @@ media spans in the same call) on each piece:
   row count, and one ``ray.put`` broadcasts the jobs lookup table. It then
   runs the pending partitions in two waves, one Ray Data execution each:
   the first partition alone, then the rest in one execution. A wave's
-  files are cut on the driver into groups of about ``batch_size`` rows
-  from the scan's row counts (``_file_groups``), each run as one fused
+  files are cut on the driver, from the scan's row counts, into groups of
+  about a row target sized by the work, a few per cluster CPU
+  (``_task_rows``, ``_file_groups``), each run as one fused
   read → drop → extract → OCR → write task, with no ``read_parquet``
   planning; each group's row carries its files' partition ids and drop
   offsets, so no UDF closes over plan data. The writer writes each piece
@@ -31,8 +32,9 @@ media spans in the same call) on each piece:
   live metrics actor;
 - ``build_extract_pipeline`` on a list of paths is the same chain without
   the writer, every file in partition 0: one dup scan, then one read →
-  drop → extract → OCR task per group of about ``BATCH_ROWS`` rows, as a
-  lazy Dataset. On a caller's documents Dataset (``entry()``'s interleaved
+  drop → extract → OCR task per group, cut by the same row target over
+  all its files, in pieces of at most ``BATCH_ROWS`` rows, as a lazy
+  Dataset. On a caller's documents Dataset (``entry()``'s interleaved
   flat docs) it maps the extract UDF over it as is, without dedup.
 
 Scale notes (the 100 TB design points):
@@ -55,13 +57,20 @@ Scale notes (the 100 TB design points):
   with the read tasks; a caller with a heavy model can still run
   ``OcrStage`` as its own actor pool over ``extract_batch(...,
   emit_payloads=True)`` output (tests/test_extension.py);
-- a read task reads a group of files of at most ``batch_size`` rows
-  in total, or one larger file in slices of ``batch_size`` rows, so its
-  memory is bounded by the batch, not by the file; a group's partition
-  ids and drop offsets travel in its own ``from_items`` row, so what the
-  UDF closes over grows neither with the dup count nor with the wave;
-  the tasks of a wave are sized by rows, not bytes, so a group of docs far
-  above the median span count is heavier than its neighbours;
+- task size and piece size are separate: an execution's files are cut
+  into groups of a row target of its rows over twice the cluster's CPUs
+  (at least ``batch_size``, at most ``_MAX_TASK_PIECES`` × ``batch_size``
+  rows; a group of several files holds under twice the target), because
+  the driver spends 5–17 ms of CPU per Ray Data task (measured), up to
+  half of what the kernels of a 2,048-row piece take; a read
+  task cuts its group into pieces of at most ``batch_size`` rows, across
+  a partition's small files and in slices of a larger file, so its
+  memory, kernel calls and written files are bounded by the piece, not by
+  the group or the file; a group's partition ids and drop offsets travel in
+  its own ``from_items`` row, so what the UDF closes over grows neither
+  with the dup count nor with the wave; the tasks of a wave are sized by
+  rows, not bytes, so a group of docs far above the median span count is
+  heavier than its neighbours;
 - the group task's own work is its kernels, so they keep to Arrow and
   numpy: extract computes each output span's position (per kept page its
   text span, then its media spans) instead of sorting, OCR receives its
@@ -212,9 +221,9 @@ _COUNTS = pa.schema(
 )
 
 
-# rows per extract call and the most rows of a file group: the batch size
-# of ``build_extract_pipeline`` and the default of ``run_partitioned`` and
-# of the job CLI's ``--batch-size``
+# the most rows per extract call and per written piece: the batch size of
+# ``build_extract_pipeline`` and the default of ``run_partitioned`` and of
+# the job CLI's ``--batch-size``
 BATCH_ROWS = 2048
 
 
@@ -253,10 +262,11 @@ def build_extract_pipeline(
     duplicated doc_id only the first copy in (file order — the order of
     ``docs``, not lexicographic — then row order) is extracted. This is
     the job path's chain without its writer: one ``scan_duplicates``, then
-    one task per group of files of about ``BATCH_ROWS`` rows
-    (``_group_tasks``, every file in partition 0, so a group's small files
-    make one piece). ``docs`` as a Dataset of documents (``doc_id``,
-    ``spans``) is extracted as is, in batches of ``BATCH_ROWS`` rows.
+    one task per group of files cut at the row target of all of them
+    (``_task_rows``, ``_group_tasks``, every file in partition 0), read in
+    pieces of at most ``BATCH_ROWS`` rows. ``docs`` as a Dataset of
+    documents (``doc_id``, ``spans``) is extracted as is, in batches of
+    ``BATCH_ROWS`` rows.
     Output rows have the extraction schema only. An empty list of paths
     raises ``ValueError``.
     """
@@ -266,8 +276,9 @@ def build_extract_pipeline(
     if isinstance(docs, ray.data.Dataset):
         return docs.map_batches(extract, batch_format="pyarrow", batch_size=BATCH_ROWS)
     _, drop, rows = scan_duplicates(docs)
+    target = _task_rows(sum(rows[f] for f in docs), BATCH_ROWS)
     return _group_tasks(
-        _file_groups(docs, rows, BATCH_ROWS), dict.fromkeys(docs, 0), drop, BATCH_ROWS,
+        _file_groups(docs, rows, target), dict.fromkeys(docs, 0), drop, BATCH_ROWS,
         lambda _, piece: extract(piece),
     )
 
@@ -318,22 +329,51 @@ def _partition_writer(manifest: Manifest):
 _READ_COLUMNS = ["doc_id", "spans"]
 
 
+# the largest row target of a group task, in ``batch_size`` pieces; a
+# group of several files holds under twice its target, so this bounds what
+# a retry of a task redoes and how long its partitions wait for their
+# commit, a single larger file excepted
+_MAX_TASK_PIECES = 16
+
+
+def _task_rows(rows: int, batch_size: int) -> int:
+    """The row target of the group tasks of one execution over ``rows``
+    input rows: ``rows`` over twice the cluster's CPUs
+    (``ray.cluster_resources``), so an execution runs a few tasks per CPU
+    and the driver's cost per Ray Data task (5–17 ms of CPU, measured)
+    is paid per share of the work, not per ``batch_size`` rows; at least
+    ``batch_size`` and at most ``_MAX_TASK_PIECES`` × ``batch_size``
+    rows. A group of several files holds under twice the target
+    (``_file_groups``)."""
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return min(max(-(-rows // (2 * cpus)), batch_size), _MAX_TASK_PIECES * batch_size)
+
+
 def _file_groups(
-    files: list[str], file_rows: dict[str, int], batch_size: int
+    files: list[str], file_rows: dict[str, int], target: int
 ) -> list[list[str]]:
-    """``files`` cut, in order, into consecutive groups of at most
-    ``batch_size`` rows (``file_rows``: each file's row count, from the
-    dup scan, so no footer is read); a file of more rows is a group of its
-    own."""
+    """``files`` cut, in order, into consecutive groups at the multiples of
+    ``target`` rows (``file_rows``: each file's row count, from the dup
+    scan, so no footer is read): a file joins the group of the last
+    multiple its middle row lies past, so each cut falls at the file
+    boundary nearest its multiple, and an empty file joins the group
+    before it. Packing whole files greedily up to ``target`` would
+    overshoot: three files of 2,000 rows at a target of 3,000 make three
+    groups, this cut two. The middle rows of a group's non-empty files lie
+    less than ``target`` rows apart, so a group of two or more non-empty
+    files holds under twice ``target`` rows, and a file of at least that
+    many shares its group with empty files only."""
     groups: list[list[str]] = []
-    rows = 0
+    start = last = 0
     for f in files:
-        if groups and rows + file_rows[f] <= batch_size:
+        n = file_rows[f]
+        k = (2 * start + n) // (2 * target)
+        if groups and (k == last or not n):
             groups[-1].append(f)
-            rows += file_rows[f]
         else:
             groups.append([f])
-            rows = file_rows[f]
+            last = k
+        start += n
     return groups
 
 
@@ -343,13 +383,13 @@ def _read_group(
     """The rows of ``files`` (``doc_id`` and ``spans``) less the row offsets
     in ``drops`` (one sorted array per file, in ``files`` order, from
     ``scan_duplicates``), as ``(pid, piece)`` pairs: ``pids`` holds each
-    file's partition id, and a piece of at most ``batch_size`` rows holds
-    the rows of one run of files of equal pid, so no piece holds two
-    partitions' rows; at least one piece per run. A file of more than
-    ``batch_size`` rows is read in slices of that many rows; a run's
-    smaller files are read whole and concatenated into one piece, which
-    ``_file_groups`` bounds: a group of several files holds at most
-    ``batch_size`` rows."""
+    file's partition id, and a piece holds the rows of one run of files of
+    equal pid, so no piece holds two partitions' rows; at least one piece
+    per run. A run's kept rows are cut, in order and across its files,
+    into pieces of ``batch_size`` rows, the last piece holding the rest; a
+    file of more than ``batch_size`` rows is read in slices of that many.
+    So the kernels, the written files and the task's memory are bounded by
+    the piece, however many rows the group holds."""
     import itertools
 
     import pyarrow.parquet as pq
@@ -363,27 +403,40 @@ def _read_group(
         return t
 
     for pid, run in itertools.groupby(zip(files, pids, drops), key=lambda x: x[1]):
-        small = []
+        held: list[pa.Table] = []
+        rows, sent = 0, False
         for f, _, offsets in run:
             pf = pq.ParquetFile(f)
             if pf.metadata.num_rows <= batch_size:
-                small.append(kept(pf.read(_READ_COLUMNS, use_threads=False), offsets, 0))
-                continue
+                slices = [pf.read(_READ_COLUMNS, use_threads=False)]
+            else:
+                slices = (
+                    pa.Table.from_batches([rb]) for rb in
+                    pf.iter_batches(batch_size, columns=_READ_COLUMNS, use_threads=False)
+                )
             lo = 0
-            for rb in pf.iter_batches(batch_size, columns=_READ_COLUMNS, use_threads=False):
-                yield pid, kept(pa.Table.from_batches([rb]), offsets, lo)
-                lo += rb.num_rows
-        if small:
+            for t in slices:
+                held.append(kept(t, offsets, lo))
+                lo += t.num_rows
+                rows += held[-1].num_rows
+                if rows >= batch_size:
+                    t = pa.concat_tables(held)
+                    while t.num_rows >= batch_size:
+                        yield pid, t.slice(0, batch_size)
+                        t = t.slice(batch_size)
+                    held, rows, sent = [t], t.num_rows, True
+        if rows or not sent:
             # an empty piece too: a task that yields no table gives Ray a
             # block without a schema
-            yield pid, pa.concat_tables(small)
+            yield pid, pa.concat_tables(held)
 
 
 def _group_tasks(
     groups: list[list[str]], pid_of: dict[str, int], drop: dict[str, np.ndarray],
     batch_size: int, fn,
 ) -> "ray.data.Dataset":
-    """One task per group of files (``_file_groups``): ``from_items`` of
+    """One task per group of files (``_file_groups``, cut at the
+    execution's row target, ``_task_rows``): ``from_items`` of
     one row per group, one block each, and one ``map_batches`` UDF,
     ``group_task``, that reads its group less its files' dropped row
     offsets (``_read_group``: pieces of at most ``batch_size`` rows, each
@@ -450,18 +503,21 @@ def run_partitioned(
     partition alone, so the first commit comes after one partition's work;
     wave 1 is every other pending partition, so the executor's start-up is
     paid twice per run whatever the partition count. A wave's files are
-    cut into groups of at most ``batch_size`` rows from the scan's row
-    counts (``_file_groups``; no footer is read), and each group is one
-    task: pyarrow read less the files' later copies (``_read_group``, the
-    files' partition ids and offsets carried in the group's row, in pieces
-    of one partition each) → extract → OCR → ``_partition_writer``, which
-    writes each piece as one file and returns its counts. A partition
-    commits once its docs reach the expected count (its files' rows less
-    their later copies, both from the scan), so the partitions of wave 1
-    still commit one by one as their groups finish, and one holding only
-    later copies commits at once, empty, and its files are not read. A
-    crash redoes the uncommitted partitions of the running execution, and
-    nothing committed. Each run writes into temp dirs of its own
+    cut, from the scan's row counts (no footer is read), into groups at a
+    row target of the rows it reads over twice the cluster's CPUs, clamped
+    to ``batch_size`` .. ``_MAX_TASK_PIECES`` × ``batch_size``
+    (``_task_rows``, ``_file_groups``: a group of several files holds
+    under twice the target), and each group is one task:
+    pyarrow read less the files' later copies (``_read_group``, the files'
+    partition ids and offsets carried in the group's row, in pieces of at
+    most ``batch_size`` rows of one partition each) → extract → OCR →
+    ``_partition_writer``, which writes each piece as one file and returns
+    its counts. A partition commits once its docs reach the expected count
+    (its files' rows less their later copies, both from the scan), so the
+    partitions of wave 1 still commit one by one as their groups finish,
+    and one holding only later copies commits at once, empty, and its
+    files are not read. A crash redoes the uncommitted partitions of the
+    running execution, and nothing committed. Each run writes into temp dirs of its own
     (``Manifest.temp_dir``), and its ``begin`` removes those of every
     other run. So after an exception raised on the driver while a wave runs
     (a failed commit, say), a task of that execution still running (until
@@ -474,9 +530,10 @@ def run_partitioned(
     first partition run, 1 for the rest), ``wall_s`` (the wave's wall time
     up to this partition's commit) and ``files_md5`` (the fingerprint of
     the (path, size, mtime) of every input file up to the partition's last
-    one, which a resume must match). Each wave logs one
-    DEBUG record on the ``pdfz_ray`` logger. OCR runs in the extract task
-    with a per-worker engine cache. ``metrics``: the name of a live
+    one, which a resume must match). Each wave logs one DEBUG record on
+    the ``pdfz_ray`` logger: its partitions, files, later copies dropped,
+    group tasks and their row target, and wall time. OCR runs in the
+    extract task with a per-worker engine cache. ``metrics``: the name of a live
     ``MetricsActor`` (state/metrics.py), pollable mid-run with
     ``live_progress`` (the reference wrote per-page progress to Redis,
     G2): the ``partitions_total`` gauge, sent with a reset of what an
@@ -485,7 +542,8 @@ def run_partitioned(
     per block of count rows it pulls. They add up the same rows as this
     run's manifest rows, once each however often Ray retried a task, plus
     those of a partition that never commits. ``batch_size``: the most rows
-    per extract call and the target rows per read task.
+    per extract call and per written piece, and the least row target of a
+    group task.
 
     The returned ``output_dirs`` and ``output_files`` are those of this
     run's chunking.
@@ -567,12 +625,13 @@ def run_partitioned(
 
         for pid, _ in wave:
             settle(pid)
+        groups, target = [], 0
         if tmp:
             # the files of the partitions not settled yet (a settled one's
             # rows are all dropped)
-            groups = _file_groups(
-                [f for pid, fs in wave if pid in tmp for f in fs], file_rows, batch_size
-            )
+            read = [f for pid, fs in wave if pid in tmp for f in fs]
+            target = _task_rows(sum(file_rows[f] for f in read), batch_size)
+            groups = _file_groups(read, file_rows, target)
             out = _group_tasks(groups, pid_of, drop, batch_size, task)
             # result bundles are pulled on this thread, not on a prefetch
             # thread as in ``iter_batches``, so no thread keeps pulling
@@ -598,9 +657,11 @@ def run_partitioned(
                 + ", ".join(f"{p}: {counts[p]['docs']}/{expected[p]}" for p in sorted(tmp))
             )
         log.debug(
-            "wave %d: partitions %s, %d files, %d later copies dropped, %.3f s",
+            "wave %d: partitions %s, %d files, %d later copies dropped, "
+            "%d group tasks of a %d-row target, %.3f s",
             k, [pid for pid, _ in wave], len(files),
-            sum(len(drop.get(f, ())) for f in files), time.perf_counter() - t0,
+            sum(len(drop.get(f, ())) for f in files), len(groups), target,
+            time.perf_counter() - t0,
         )
     dirs = [manifest.partition_dir(pid) for pid, _ in chunks]
     return {

@@ -576,8 +576,13 @@ def waves():
     """The group tasks of both entry points across rows per file (100,
     2k, 50k) on one Ray CPU: many tiny files packed into one task, and one
     large file read in slices. The job path runs at ``batch_size`` 512 and
-    2048. One JSON line per point: read tasks per wave (the
-    ``_file_groups`` of each wave), the spans each group task reads (max,
+    2048; on one CPU an execution's row target is half its rows (at least
+    ``batch_size``, at most 16 × ``batch_size``), so it runs at most two
+    group tasks until that clamp binds. One JSON line per point: read
+    tasks per wave (the ``_file_groups`` of each wave),
+    ``driver_cpu_per_task_ms`` (the job's driver CPU below over its group
+    tasks: it holds the per-job planning too, so it rises as the tasks get
+    fewer and is not what one task costs), the spans each group task reads (max,
     median and max/median over the run's groups: the balance of the plan,
     which no host changes), Ray Data executions per run (the
     ``_group_tasks`` calls of ``run_partitioned``: at most two, the first
@@ -603,7 +608,22 @@ def waves():
     run, driver CPU, first commit and job wall, and the ratios of size 2
     to size 32: fine partitions should cost little more than coarse ones.
     Each corpus is written once into a temp dir (``TMPDIR``) and removed
-    after its points."""
+    after its points.
+
+    The driver's cost of one task is the fall in driver CPU per job over
+    the fall in tasks between two cuts of one corpus. This command run on
+    this cut and on the earlier one at ``batch_size`` rows (one run each,
+    1 CPU, the same corpora) gave 4.5–10.4 ms per task on the seven points
+    whose task count fell by 4 or more: at ``batch_size`` 512 the 200 ×
+    100-row corpus went from 40 tasks and 0.428 s of driver CPU per job to
+    4 tasks and 0.140 s (8.0 ms per task), and the 32 × 500-row corpus at
+    ``partition_size`` 32 from 8 tasks and 0.118 s to 2 tasks and 0.056 s
+    (10.3 ms). The kernels of 2,048 rows take about 31 ms (``kernels``
+    below, ``bulk_lowdup``: 246 ms over 16,080 rows), so a task cut at
+    2,048 rows paid the driver 0.15–0.34 of its kernel time, and a task of
+    about 8,000 rows at the row target pays it under 0.1. The rest of a
+    job's driver CPU, 0.04–0.11 s on these corpora, is spent once per
+    job (dup scan, broadcast, two executions' start-up, commits)."""
     import re
     import resource
     import tempfile
@@ -688,6 +708,7 @@ def waves():
         return {
             "executions": len(chains),
             "tasks_per_wave": [len(groups) for groups in planned],
+            "driver_cpu_per_task_ms": round(1e3 * float(np.median(cpu)) / len(spans), 1),
             "group_spans": {
                 "max": max(spans),
                 "median": float(np.median(spans)),
@@ -746,9 +767,10 @@ def kernels():
     Ray: ``_read_group`` (read less the later copies), ``extract_batch``
     (with payloads, the jobs lookup), ``ocr_task`` and the job's own
     writer, ``_partition_writer``. Inputs are the three perfbench corpora
-    (``perfbench.workloads.make_corpus``) at seed 5, cut into the job's
-    file groups at ``batch_size`` 2048 with each workload's partition
-    size, each group read in pieces of one partition each; the later
+    (``perfbench.workloads.make_corpus``) at seed 5, cut into file groups
+    at a row target of ``batch_size`` 2048 (the least a job uses) with
+    each workload's partition size, each group read in pieces of at most
+    ``batch_size`` rows of one partition each; the later
     copies to drop are found here in (file, row) order, as
     ``scan_duplicates`` finds them. One JSON line per workload: the median
     ms over 7 passes of each layer (summed over the pass's pieces) and the

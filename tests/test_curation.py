@@ -261,6 +261,33 @@ def test_curate_corpus_all_three_gates(ray_session):
         assert r.split == expect
 
 
+def test_curation_operators_on_an_empty_corpus(ray_session):
+    """A 0-row (doc_id, text) corpus gives no rows, not a ``KeyError`` from
+    the column-less frame of an empty groupby: the quantile gates (global
+    and per language), ``curate_corpus`` and the benchmark gram set."""
+    import ray.data
+
+    from pdfz_ray.functions.curation import (
+        benchmark_gram_set, curate_corpus, quality_gate_quantile,
+        quality_gate_quantile_by_lang,
+    )
+
+    empty = pa.table({
+        "doc_id": pa.array([], pa.int64()),
+        "text": pa.array([], pa.string()),
+        "lang": pa.array([], pa.string()),
+    })
+
+    def ds(cols=("doc_id", "text")):
+        return ray.data.from_arrow(empty.select(list(cols)))
+
+    assert len(quality_gate_quantile(ds()).to_pandas()) == 0
+    assert len(quality_gate_quantile_by_lang(ds(("doc_id", "text", "lang"))).to_pandas()) == 0
+    assert len(curate_corpus(ds()).to_pandas()) == 0
+    grams = benchmark_gram_set(ds())
+    assert len(grams) == 0 and grams.type == pa.string()
+
+
 def test_split_leakage_audit_crafted(ray_session):
     import hashlib
 

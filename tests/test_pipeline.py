@@ -27,6 +27,18 @@ def _oracle_flat(tbl, jobs=None):
     return flatten_results(extract_corpus(tbl.to_pylist(), jobs))
 
 
+def _group_tasks_run(ds) -> int:
+    """The tasks an executed Dataset's group-task operator ran."""
+    import re
+
+    (n,) = [
+        int(n) for op, n in re.findall(
+            r"^Operator \d+ (.+?): (\d+) tasks executed", ds.stats(), re.M
+        ) if "group_task" in op
+    ]
+    return n
+
+
 def test_pipeline_matches_oracle(ray_session, corpus_files):
     from pdfz_ray.pipelines.extract_pipeline import build_extract_pipeline
     from pdfz_ray.stages.extract import flatten_output
@@ -776,9 +788,15 @@ def test_two_waves_and_resume_in_order(ray_session, tmp_path, monkeypatch):
 
 
 def test_file_groups_keep_order_and_row_bound():
-    """A wave's files are cut, in order, into consecutive groups of at
-    most ``batch_size`` rows; a group of more rows holds one file only,
-    and each group ends where the next file would not fit."""
+    """A wave's files are cut, in order, into consecutive groups at the
+    multiples of the row target: a file joins the group of the last
+    multiple its middle row lies past, and an empty file the group before
+    it. So the middle rows of a group's non-empty files lie within one
+    target window (less than the target apart), a later group's lie in a
+    later window, and a wave of R rows makes at most ceil(R / target)
+    groups: three files of 2,000 rows at a target of 3,000 make two, where
+    greedy packing made three. The row bound: a group of two or more
+    non-empty files holds under twice the target rows."""
     import random
 
     from pdfz_ray.pipelines.extract_pipeline import _file_groups
@@ -786,19 +804,151 @@ def test_file_groups_keep_order_and_row_bound():
     assert _file_groups([], {}, 4) == []
     rows = {"a": 3, "b": 0, "c": 1, "d": 9, "e": 0, "f": 4, "g": 2}
     assert _file_groups(list(rows), rows, 4) == [
-        ["a", "b", "c"], ["d"], ["e", "f"], ["g"]
+        ["a", "b", "c"], ["d", "e"], ["f"], ["g"]
     ]
+    rows = {"x": 2000, "y": 2000, "z": 2000}
+    assert _file_groups(list(rows), rows, 3000) == [["x"], ["y", "z"]]
+    rows = {"x": 1900, "y": 1900}
+    assert _file_groups(list(rows), rows, 3000) == [["x", "y"]]
     rng = random.Random(0)
     for _ in range(300):
         files = [f"f{i}" for i in range(rng.randint(0, 30))]
         rows = {f: rng.choice([0, 1, 5, 100, 600, 2048, 5000]) for f in files}
-        batch_size = rng.choice([1, 512, 2048])
-        groups = _file_groups(files, rows, batch_size)
+        target = rng.choice([1, 512, 2048, 6000])
+        groups = _file_groups(files, rows, target)
         assert [f for g in groups for f in g] == files
         for g in groups:
-            assert len(g) == 1 or sum(rows[f] for f in g) <= batch_size, g
-        for g, h in zip(groups, groups[1:]):
-            assert sum(rows[f] for f in g) + rows[h[0]] > batch_size, (g, h)
+            assert (
+                sum(1 for f in g if rows[f]) <= 1 or sum(rows[f] for f in g) < 2 * target
+            ), (g, target)
+        assert len(groups) <= max(1, -(-sum(rows.values()) // target)), (groups, target)
+        assert all(rows[g[0]] for g in groups[1:]), groups
+        middle, start = {}, 0
+        for f in files:
+            middle[f] = start + rows[f] / 2
+            start += rows[f]
+        windows = []
+        for g in groups:
+            w = {middle[f] // target for f in g if rows[f]}
+            assert len(w) <= 1, (g, target)
+            windows += w
+        assert windows == sorted(set(windows)), (groups, target)
+
+
+def test_task_rows_is_clamped(monkeypatch):
+    """``_task_rows``: an execution's rows over twice the cluster's CPUs,
+    at least ``batch_size`` and at most ``_MAX_TASK_PIECES`` (16) ×
+    ``batch_size`` rows."""
+    import ray
+
+    from pdfz_ray.pipelines import extract_pipeline as ep
+
+    cpus = {"CPU": 1.0}
+    monkeypatch.setattr(ray, "cluster_resources", lambda: dict(cpus))
+    assert ep._MAX_TASK_PIECES == 16
+    assert ep._task_rows(10**6, 64) == 16 * 64
+    assert ep._task_rows(10, 64) == ep._task_rows(0, 64) == 64
+    assert ep._task_rows(1001, 64) == 501
+    cpus["CPU"] = 4.0
+    assert ep._task_rows(1001, 64) == 126
+    assert ep._task_rows(10**6, 64) == 16 * 64
+    assert ep._task_rows(500, 64) == 64
+    cpus["CPU"] = 0.0
+    assert ep._task_rows(1001, 64) == 501
+
+
+def test_read_group_cuts_pieces_across_small_files(tmp_path):
+    """``_read_group`` cuts each run of files of one partition id into
+    pieces of ``batch_size`` rows across its files, the run's last piece
+    holding the rest: runs of many small files (empty ones too) whose rows
+    sum to several times ``batch_size``, and one file above it, with
+    later copies dropped. No piece exceeds ``batch_size`` rows or holds
+    rows of two partitions, and the pieces in order are the input rows
+    less the dropped offsets, in order."""
+    import random
+
+    import numpy as np
+
+    from pdfz_ray.pipelines import extract_pipeline as ep
+
+    rng = random.Random(7)
+    tbl = make_documents(400, monster_spans=20)
+    sizes = [rng.choice([0, 1, 3, 7, 12]) for _ in range(40)] + [45] + [5] * 6
+    files, pids, drops, want = [], [], [], []
+    lo = 0
+    for i, n in enumerate(sizes):
+        part = tbl.slice(lo, n)
+        lo += n
+        files.append(str(tmp_path / f"f{i}.parquet"))
+        pq.write_table(part, files[-1])
+        pids.append(0 if i < 18 else 1 if i < 41 else 2)
+        drops.append(np.asarray(sorted(rng.sample(range(n), n // 3)), np.int64))
+        ids = part.column("doc_id").to_pylist()
+        dropped = set(drops[-1].tolist())
+        want += [(pids[-1], ids[r]) for r in range(n) if r not in dropped]
+    batch_size = 16
+    for pid in (0, 1):
+        assert sum(n for n, p in zip(sizes, pids) if p == pid) > 3 * batch_size
+    pieces = list(ep._read_group(files, pids, drops, batch_size))
+    got = [(pid, i) for pid, t in pieces for i in t.column("doc_id").to_pylist()]
+    assert got == want
+    for pid in (0, 1, 2):
+        full, rest = divmod(sum(1 for p, _ in want if p == pid), batch_size)
+        sizes = [t.num_rows for p, t in pieces if p == pid]
+        assert sizes == [batch_size] * full + [rest] * (rest > 0), pid
+
+
+def test_group_tasks_are_sized_by_the_work(ray_session, tmp_path, monkeypatch):
+    """An execution's group tasks are cut at the row target, about two
+    per cluster CPU, not at ``batch_size`` rows: a ``partitioned_dups``
+    shaped corpus (32 files of 40 rows, two per partition, duplicates
+    across partitions) at ``batch_size`` 64 runs wave 1 in at most 2 tasks
+    on a cluster of 1 CPU, and in at most 8 on the session's 4, where
+    cutting at ``batch_size`` took one task per file; a wave of one file
+    above the target is one task. The output is oracle-exact."""
+    import ray
+
+    from pdfz_ray.pipelines import extract_pipeline as ep
+    from pdfz_ray.stages.extract import flatten_output
+
+    tbl = make_documents(32 * 40 * 11 // 12, monster_spans=20).slice(0, 32 * 40)
+    paths = []
+    for i in range(32):
+        paths.append(str(tmp_path / f"f{i:02d}.parquet"))
+        pq.write_table(tbl.slice(i * 40, 40), paths[-1])
+    want = sorted(tuple(r.values()) for r in _oracle_flat(tbl))
+    chains = []
+    real_chain = ep._group_tasks
+
+    def keep_chain(*a, **k):
+        chains.append(real_chain(*a, **k))
+        return chains[-1]
+
+    def run(name, files, **kw):
+        chains.clear()
+        res = ep.run_partitioned(files, str(tmp_path / name), ocr=False, **kw)
+        out = pa.concat_tables([pq.read_table(f) for f in res["output_files"]])
+        return [_group_tasks_run(ds) for ds in chains], sorted(
+            tuple(r.values()) for r in flatten_output(out).to_pylist()
+        )
+
+    monkeypatch.setattr(ep, "_group_tasks", keep_chain)
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert cpus == 4
+    waves, got = run("cpus4", paths, partition_size=2, batch_size=64)
+    assert len(waves) == 2 and waves[1] <= 2 * cpus, waves
+    assert got == want
+    one = str(tmp_path / "one.parquet")
+    pq.write_table(tbl.slice(0, 300), one)
+    assert 300 > ep._task_rows(300, 32)
+    waves, got = run("one", [one], batch_size=32)
+    assert waves == [1]
+    assert got == sorted(tuple(r.values()) for r in _oracle_flat(tbl.slice(0, 300)))
+    real = ray.cluster_resources()
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {**real, "CPU": 1.0})
+    waves, got = run("cpus1", paths, partition_size=2, batch_size=64)
+    assert len(waves) == 2 and waves[1] <= 2, waves
+    assert got == want
 
 
 def test_large_file_reaches_extract_in_batch_slices(ray_session, tmp_path, monkeypatch):
@@ -994,10 +1144,12 @@ def test_unrouted_wave_is_one_task_per_group(ray_session, corpus_files, tmp_path
 def test_paths_pipeline_is_one_task_per_group(ray_session, tmp_path, monkeypatch):
     """build_extract_pipeline over paths runs the job path's chain less
     its writer: one executed operator, the fused group task, with one task
-    per file group at its ``BATCH_ROWS`` (set to 1,024 here, so each
-    600-row file is a group), not every group bundled into one task. The
-    output is exactly deduplicated, and every block, that of the group
-    holding only later copies too, has one schema."""
+    per file group cut at the job path's row target (``BATCH_ROWS`` is set
+    to 1,024 here, above the 2,400 rows over the session's CPUs, so the
+    target is 1,024 rows and the four 600-row files make three groups),
+    not every group bundled into one task. The output is exactly
+    deduplicated, and every block, that of the group holding only later
+    copies too, has one schema."""
     import re
 
     import ray
@@ -1014,8 +1166,9 @@ def test_paths_pipeline_is_one_task_per_group(ray_session, tmp_path, monkeypatch
         paths.append(str(tmp_path / f"f{i}.parquet"))
         pq.write_table(tbl.slice(lo, 600), paths[-1])
     rows = {p: 600 for p in paths}
-    groups = ep._file_groups(paths, rows, ep.BATCH_ROWS)
-    assert len(groups) == 4
+    assert ep._task_rows(2400, ep.BATCH_ROWS) == 1024
+    groups = ep._file_groups(paths, rows, 1024)
+    assert groups == [paths[:2], paths[2:3], paths[3:]]
 
     out = ep.build_extract_pipeline(paths, ocr=False).materialize()
     blocks = ray.get(out.to_arrow_refs())
@@ -1116,6 +1269,46 @@ def test_wave_plan_is_logged(ray_session, corpus_files, tmp_path, caplog):
         r["partition_id"]: r["wave"] for r in map(json.loads, open(res["manifest"]))
     }
     assert waves == {0: 0, 1: 1, 2: 1, 3: 1}
+
+
+def test_wave_log_names_tasks_and_row_target(
+    ray_session, corpus_files, tmp_path, caplog, monkeypatch
+):
+    """Each wave's DEBUG record names its group tasks and their row
+    target: on a 2-wave run at ``batch_size`` 8, the counts read back are
+    the tasks each execution ran, and the targets are ``_task_rows`` of
+    the rows each wave read."""
+    import logging
+    import re
+
+    from pdfz_ray.pipelines import extract_pipeline as ep
+
+    read, chains = [], []
+    real_groups, real_chain = ep._file_groups, ep._group_tasks
+
+    def groups(files, *a, **k):
+        read.append(files)
+        return real_groups(files, *a, **k)
+
+    def chain(*a, **k):
+        chains.append(real_chain(*a, **k))
+        return chains[-1]
+
+    monkeypatch.setattr(ep, "_file_groups", groups)
+    monkeypatch.setattr(ep, "_group_tasks", chain)
+    _, paths = corpus_files
+    caplog.set_level(logging.DEBUG, logger="pdfz_ray")
+    ep.run_partitioned(paths, str(tmp_path / "out"), partition_size=1, batch_size=8, ocr=False)
+    msgs = [r.getMessage() for r in caplog.records if r.name.startswith("pdfz_ray")]
+    logged = [
+        tuple(map(int, re.search(r", (\d+) group tasks of a (\d+)-row target, ", m).groups()))
+        for m in msgs
+    ]
+    ran = [_group_tasks_run(ds) for ds in chains]
+    targets = [ep._task_rows(33 * len(files), 8) for files in read]
+    assert len(msgs) == 2 and len(read) == 2
+    assert logged == list(zip(ran, targets)), (logged, ran, targets)
+    assert ran[1] > 1 and targets[1] > 8, (ran, targets)
 
 
 def test_resume_rejects_changed_chunking(ray_session, corpus_files, tmp_path, monkeypatch):
